@@ -262,6 +262,72 @@ class TestQueryCommand:
         assert "bad --stats" in capsys.readouterr().err
 
 
+class TestCoordinateCommand:
+    EPOCH_GAP = 0.125  # --epoch value; the patched sleep keys on it
+
+    @pytest.mark.parametrize("transfer", ["raw", "delta"])
+    @pytest.mark.parametrize("topology", ["flat", "tree"])
+    def test_two_agents_two_epochs(self, topology, transfer, monkeypatch,
+                                   capsys):
+        """End-to-end: two live agents, `univmon coordinate` for two
+        epochs, fresh traffic fed to both agents between the polls."""
+        import re
+        import time
+
+        from repro.controlplane.rpc import SwitchAgent
+        from repro.dataplane.keys import src_ip_key
+        from repro.dataplane.switch import MonitoredSwitch
+        from repro.dataplane.trace import SyntheticTraceConfig, generate_trace
+        from repro.core.universal import UniversalSketch
+
+        def factory():  # the CLI's geometry at --memory-kb 64
+            return UniversalSketch.for_memory_budget(
+                64 * 1024, levels=12, rows=5, heap_size=64, seed=1)
+
+        switches = {}
+        for name in ("edge0", "edge1"):
+            switches[name] = MonitoredSwitch(name)
+            switches[name].attach("univmon", factory, src_ip_key)
+        feeds = [[generate_trace(SyntheticTraceConfig(
+                      packets=packets, flows=80, duration=1.0,
+                      seed=10 * epoch + i))
+                  for i, packets in enumerate((400, 700))]
+                 for epoch in range(2)]
+        expected = [sum(len(t) for t in feed) for feed in feeds]
+
+        def feed(epoch):
+            for switch, trace in zip(switches.values(), feeds[epoch]):
+                switch.process_trace(trace)
+
+        real_sleep = time.sleep
+
+        def sleep(seconds):  # the CLI's between-epoch wait feeds epoch 1
+            if seconds == self.EPOCH_GAP:
+                feed(1)
+            else:
+                real_sleep(seconds)
+
+        feed(0)
+        with SwitchAgent(switches["edge0"]) as a0, \
+                SwitchAgent(switches["edge1"]) as a1:
+            monkeypatch.setattr(time, "sleep", sleep)
+            code = main(["coordinate",
+                         "--agent", "edge0=%s:%d" % a0.address,
+                         "--agent", "edge1=%s:%d" % a1.address,
+                         "--epochs", "2", "--epoch", str(self.EPOCH_GAP),
+                         "--memory-kb", "64", "--topology", topology,
+                         "--fanout", "2", "--transfer", transfer])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("epoch ")]
+        assert len(lines) == 2
+        for index, line in enumerate(lines):
+            assert line.startswith(f"epoch {index}: 2/2 switches, "), line
+            packets = int(re.search(r"(\d+) packets", line).group(1))
+            assert packets == expected[index], line
+            assert "failed=" not in line
+
+
 class TestPlotFlag:
     def test_experiment_plot_renders_chart(self, capsys):
         assert main(["experiment", "fig7", "--quick", "--plot"]) == 0

@@ -5,7 +5,8 @@ PYTHON ?= python
 .PHONY: install test test-network test-network-scale test-acceptance \
         test-parallel test-scenarios test-detect test-service coverage \
         bench bench-quick bench-query bench-network bench-parallel \
-        bench-service bench-smoke results examples lint clean
+        bench-service bench-smoke perfbench-selftest results examples \
+        lint clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -17,7 +18,8 @@ test-out:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
 # Remote-collection suites: RPC framing/retries, health tracking, the
-# RemoteCoordinator epoch loop, and the chaos harness. Every test in the
+# HierarchicalCoordinator epoch loop (flat over live agents and as an
+# in-process tree), and the chaos harness. Every test in the
 # repo runs under the SIGALRM watchdog in tests/conftest.py; this target
 # tightens it so a wedged socket fails fast instead of hanging the run.
 test-network:
@@ -152,9 +154,13 @@ bench-parallel:
 # the rule-eval overhead floor in bench_detect.py) gate the detection
 # pipeline the same way, and the always-on service gates through
 # test-service plus the quick-mode service load bench (latency sweep,
-# ingest-isolation floor, memo collapse).
+# ingest-isolation floor, memo collapse).  The benchmark's own
+# self-test (perfbench-selftest) checks that each workload's correctness
+# check catches a corrupted run, so a benchmark that stopped checking
+# anything blocks the smoke too.
 bench-smoke: test-network test-network-scale test-acceptance \
-             test-parallel test-scenarios test-detect test-service coverage
+             test-parallel test-scenarios test-detect test-service coverage \
+             perfbench-selftest
 	REPRO_BENCH_QUICK=1 PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_throughput.py \
 	    benchmarks/bench_query_latency.py \
@@ -176,6 +182,13 @@ bench-service:
 	PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_service.py -q -s
 	$(PYTHON) benchmarks/collect_results.py
+
+# Self-test of the end-to-end benchmark in perfbench/: every workload's
+# correctness check must pass a clean run and fail a corrupted one (the
+# fleet-tree case ships a flipped counter through the tree's run_epoch),
+# and a short traced run must report every per-layer metric.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 results:
 	$(PYTHON) benchmarks/collect_results.py

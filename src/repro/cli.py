@@ -197,7 +197,8 @@ def _add_coordinate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--fanout", type=int, default=8,
                    help="children per tree aggregator (tree topology)")
     p.add_argument("--transfer", choices=["raw", "delta"], default="raw",
-                   help="full-sketch polls or delta-compressed frames")
+                   help="full frames every poll or delta-compressed "
+                        "frames against the last acked epoch")
     p.add_argument("--min-coverage", type=float, default=0.0,
                    help="fraction of switches an epoch must represent")
     p.add_argument("--quorum", type=float, default=0.0,
@@ -673,7 +674,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ConfigurationError
+    from repro.errors import ReproError
     from repro.core.query import QueryEngine, Statistic
     from repro.dataplane.packet import format_ipv4
 
@@ -684,7 +685,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         stats = [Statistic.parse(spec)
                  for spec in args.stats.split(",") if spec.strip()]
-    except (ConfigurationError, ValueError) as exc:
+    except ReproError as exc:
         print(f"bad --stats: {exc}", file=sys.stderr)
         return 2
     if not stats:
@@ -715,7 +716,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             sketch = client.poll(args.program)
         show_ip = True
 
-    results = QueryEngine(sketch).evaluate_many(stats)
+    try:
+        results = QueryEngine(sketch).evaluate_many(stats)
+    except ReproError as exc:  # e.g. a g outside Stream-PolyLog
+        print(f"bad --stats: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         payload = {
             "packets": sketch.total_weight,
@@ -839,13 +844,16 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 
 
 def _coordinate_loop(args: argparse.Namespace) -> int:
+    import dataclasses
     import time
 
     from repro.controlplane.apps.cardinality import CardinalityApp
     from repro.controlplane.apps.entropy import EntropyApp
     from repro.controlplane.apps.heavy_hitters import HeavyHitterApp
+    from repro.controlplane.rpc import RemoteSwitchClient
     from repro.network.health import HealthTracker
-    from repro.network.remote import RemoteCoordinator
+    from repro.network.hierarchy import (
+        AgentLink, HierarchicalCoordinator, ResiliencePolicy)
     from repro.core.universal import UniversalSketch
 
     agents = {}
@@ -861,41 +869,29 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
     budget = args.memory_kb * 1024
     factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
         budget, levels=12, rows=5, heap_size=64, seed=1)
+    retry = _retry_policy(args)
     health = HealthTracker(agents, suspect_after=1,
                            fail_after=args.fail_after,
                            probe_every=args.probe_every,
-                           probe_policy=_retry_policy(args))
-    if args.topology == "tree":
-        import dataclasses
-
-        from repro.controlplane.rpc import RemoteSwitchClient
-        from repro.network.hierarchy import (
-            AgentLink, HierarchicalCoordinator, ResiliencePolicy)
-
-        retry = _retry_policy(args)
-        clients = {
-            name: RemoteSwitchClient(
-                host, port, timeout=args.timeout,
-                retry=dataclasses.replace(retry, seed=retry.seed + index))
-            for index, (name, (host, port)) in enumerate(agents.items())}
-        coordinator = HierarchicalCoordinator(
-            {name: AgentLink(client, program=args.program)
-             for name, client in clients.items()},
-            sketch_factory=factory, fanout=args.fanout, health=health,
-            transfer=args.transfer,
-            policy=ResiliencePolicy(min_coverage=args.min_coverage,
-                                    quorum=args.quorum,
-                                    fail_open=args.fail_mode == "open"))
-        closer = lambda: [c.close() for c in clients.values()]  # noqa: E731
-        print(f"coordinating {len(agents)} agent(s) over "
-              f"{coordinator.plan.describe()}")
-    else:
-        coordinator = RemoteCoordinator(
-            agents, sketch_factory=factory, program=args.program,
-            retry=_retry_policy(args), timeout=args.timeout,
-            health=health, transfer=args.transfer)
-        closer = coordinator.close
-        print(f"coordinating {len(agents)} agent(s): {', '.join(agents)}")
+                           probe_policy=retry)
+    clients = {
+        name: RemoteSwitchClient(
+            host, port, timeout=args.timeout,
+            retry=dataclasses.replace(retry, seed=retry.seed + index))
+        for index, (name, (host, port)) in enumerate(agents.items())}
+    # A flat fleet is a one-tier tree: every agent reports to the root.
+    fanout = args.fanout if args.topology == "tree" \
+        else max(2, len(agents))
+    coordinator = HierarchicalCoordinator(
+        {name: AgentLink(client, program=args.program)
+         for name, client in clients.items()},
+        sketch_factory=factory, fanout=fanout, health=health,
+        transfer=args.transfer,
+        policy=ResiliencePolicy(min_coverage=args.min_coverage,
+                                quorum=args.quorum,
+                                fail_open=args.fail_mode == "open"))
+    print(f"coordinating {len(agents)} agent(s) over "
+          f"{coordinator.plan.describe()}")
     coordinator.register(CardinalityApp()).register(EntropyApp()) \
                .register(HeavyHitterApp(alpha=args.alpha))
     try:
@@ -903,20 +899,17 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
         while args.epochs <= 0 or epoch < args.epochs:
             report = coordinator.run_epoch()
             cov = report["coverage"]
-            polled = cov.get("switches_polled",
-                             cov.get("switches_covered"))
             line = (f"epoch {report.epoch_index}: "
-                    f"{polled}/{cov['switches_total']} "
-                    f"switches, {cov['packets_covered']} packets")
-            if "status" in cov:
-                line += f", status={cov['status']}"
-            if cov.get("bytes_wire"):
+                    f"{cov['switches_covered']}/{cov['switches_total']} "
+                    f"switches, {cov['packets_covered']} packets, "
+                    f"status={cov['status']}")
+            if cov["bytes_wire"]:
                 line += f", wire={cov['bytes_wire']}B"
             if cov["failed"]:
                 line += f", failed={','.join(cov['failed'])}"
             if cov["recovered"]:
                 line += f", recovered={','.join(cov['recovered'])}"
-            if cov.get("retries"):
+            if cov["retries"]:
                 line += f", retries={cov['retries']}"
             if "cardinality" in report.results:
                 line += (f" | distinct="
@@ -929,7 +922,8 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        closer()
+        for client in clients.values():
+            client.close()
     return 0
 
 

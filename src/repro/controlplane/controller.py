@@ -36,6 +36,52 @@ class EpochReport:
         return self.results[app_name]
 
 
+class AppFanout:
+    """The estimation apps of one epoch loop and their per-epoch run.
+
+    Shared by both epoch loops — :class:`Controller` for one switch and
+    :class:`~repro.network.hierarchy.HierarchicalCoordinator` for a
+    fleet — so a sealed or merged sketch reaches the apps the same way:
+    sketch-health gauges, one snapshot build shared by every app, then
+    each app under its own ``univmon_app_seconds`` span.
+    """
+
+    def __init__(self) -> None:
+        self.apps: List[MonitoringApp] = []
+
+    def register(self, app: MonitoringApp) -> None:
+        if any(existing.name == app.name for existing in self.apps):
+            raise ConfigurationError(f"duplicate app name {app.name!r}")
+        self.apps.append(app)
+
+    def run(self, sketch, report: EpochReport,
+            trace: Optional[Trace] = None) -> None:
+        """Fill ``report.results`` with every app's answer on ``sketch``."""
+        reg = get_registry()
+        observe_sketch(sketch, reg)
+        if not self.apps:
+            return
+        # Materialise the epoch's query snapshot once, up front: every
+        # app below reads the sealed (immutable-from-here) sketch, so
+        # they all share this build via the version-guarded cache.
+        QueryEngine(sketch).warm()
+        if trace is not None:
+            for app in self.apps:
+                # Trace-aware apps (e.g. the detection pipeline, which
+                # feeds zoom and reversible sketches from raw packets) get
+                # the epoch's trace before estimation; sketch-only apps
+                # don't implement the hook.
+                observe = getattr(app, "observe_trace", None)
+                if observe is not None:
+                    observe(trace)
+        for app in self.apps:
+            with reg.span("univmon_app_seconds",
+                          help="per-app estimation latency",
+                          app=app.name):
+                report.results[app.name] = app.on_sketch(
+                    sketch, report.epoch_index)
+
+
 class Controller:
     """Drives the poll loop and fans sealed sketches out to the apps.
 
@@ -74,18 +120,16 @@ class Controller:
         self.switch = switch or MonitoredSwitch("s1")
         self.program = self.switch.attach("univmon", sketch_factory,
                                           key_function)
-        self._apps: List[MonitoringApp] = []
+        self._apps = AppFanout()
 
     def register(self, app: MonitoringApp) -> "Controller":
         """Add an estimation app (chainable)."""
-        if any(existing.name == app.name for existing in self._apps):
-            raise ConfigurationError(f"duplicate app name {app.name!r}")
-        self._apps.append(app)
+        self._apps.register(app)
         return self
 
     @property
     def apps(self) -> List[MonitoringApp]:
-        return list(self._apps)
+        return list(self._apps.apps)
 
     # ------------------------------------------------------------------ #
     # the poll loop
@@ -139,7 +183,6 @@ class Controller:
                         trace: Optional[Trace] = None) -> EpochReport:
         """Account one sealed sketch and fan it out to the apps."""
         reg = get_registry()
-        observe_sketch(sealed, reg)
         packets = len(trace) if trace is not None \
             else int(getattr(sealed, "packets", 0))
         reg.counter("univmon_epochs_total",
@@ -156,30 +199,12 @@ class Controller:
             if trace is not None and len(trace) else 0.0
         report = EpochReport(epoch_index=epoch_index, start_time=t0,
                              end_time=t1, packets=packets)
-        if self._apps:
-            # Materialise the epoch's query snapshot once, up front: every
-            # app below reads the sealed (immutable-from-here) sketch, so
-            # they all share this build via the version-guarded cache.
-            QueryEngine(sealed).warm()
-        if trace is not None:
-            for app in self._apps:
-                # Trace-aware apps (e.g. the detection pipeline, which
-                # feeds zoom and reversible sketches from raw packets) get
-                # the epoch's trace before estimation; sketch-only apps
-                # don't implement the hook.
-                observe = getattr(app, "observe_trace", None)
-                if observe is not None:
-                    observe(trace)
-        for app in self._apps:
-            with reg.span("univmon_app_seconds",
-                          help="per-app estimation latency",
-                          app=app.name):
-                report.results[app.name] = app.on_sketch(sealed, epoch_index)
+        self._apps.run(sealed, report, trace=trace)
         return report
 
     def reset(self) -> None:
         """Drop cross-epoch app state (trace boundary)."""
-        for app in self._apps:
+        for app in self._apps.apps:
             app.reset()
 
     def close(self) -> None:

@@ -51,8 +51,9 @@ Server-reported errors (status 1) are *not* retried — the exchange
 succeeded, the answer was an error.  Note the one semantic wrinkle:
 ``POLL`` swaps the epoch sketch before the response travels, so a retry
 after a *response* loss returns the next (near-empty) epoch; the
-coverage counters of :class:`~repro.network.remote.RemoteCoordinator`
-make that loss visible instead of silent.
+per-epoch coverage and retry counters of
+:class:`~repro.network.hierarchy.HierarchicalCoordinator` make that loss
+visible instead of silent.
 
 Concurrency contract: POLL/MEMORY/STATS hold the agent's lock, so a
 poll atomically swaps the program's sketch.  The data-plane feed
@@ -404,7 +405,6 @@ class RemoteSwitchClient:
         self._rng = random.Random(self.retry.seed)
         self._max_frame_bytes = max_frame_bytes
         self._sock: Optional[socket.socket] = None
-        self._decoders: Dict[str, object] = {}  # program -> DeltaDecoder
 
     # -- connection management ---------------------------------------- #
 
@@ -520,22 +520,3 @@ class RemoteSwitchClient:
         the raw frame bytes; decode with a
         :class:`~repro.network.codec.DeltaDecoder`."""
         return self._call(f"DELTA {program} {int(base_epoch)}")
-
-    def poll_delta(self, program: str):
-        """Poll-and-reset one program over delta transfer, managing the
-        decoder state internally.  A frame this side cannot apply (peer
-        restarted mid-lineage, corrupt frame) resets the decoder and
-        forces exactly one full-frame re-poll — note that re-poll
-        returns the *next* sealed epoch, so the coverage accounting of
-        the caller should treat it like any other lost response."""
-        from repro.network.codec import NO_BASE, DeltaDecoder
-        from repro.errors import CodecError
-        decoder = self._decoders.get(program)
-        if decoder is None:
-            decoder = self._decoders[program] = DeltaDecoder()
-        try:
-            return decoder.decode(
-                self.poll_frame(program, decoder.base_epoch))
-        except CodecError:
-            decoder.reset()
-            return decoder.decode(self.poll_frame(program, NO_BASE))

@@ -316,17 +316,34 @@ class Statistic:
             raise ConfigurationError(
                 f"unknown statistic {spec!r} (know: "
                 f"{', '.join(sorted(set(cls._ALIASES)))})")
+
+        def number() -> float:
+            try:
+                return float(param)
+            except ValueError:
+                raise ConfigurationError(
+                    f"bad parameter in {spec!r}: {param!r} is not a "
+                    f"number") from None
+
         if kind == "heavy_hitters":
-            return cls.heavy_hitters(float(param) if param else 0.005)
+            fraction = number() if param else 0.005
+            if not 0.0 < fraction < 1.0:
+                raise ConfigurationError(
+                    f"heavy-hitter fraction must be in (0, 1), got {spec!r}")
+            return cls.heavy_hitters(fraction)
         if kind == "entropy":
             base = math.e if param in ("e", "nats") \
-                else (float(param) if param else 2.0)
+                else (number() if param else 2.0)
+            if not (math.isfinite(base) and base > 0 and base != 1):
+                raise ConfigurationError(
+                    f"entropy base must be a positive number other than "
+                    f"1, got {spec!r}")
             return cls.entropy(base)
         if kind == "moment":
             if not param:
                 raise ConfigurationError(
                     "moment needs an order, e.g. 'moment:1.5'")
-            return cls.moment(float(param))
+            return cls.moment(number())
         if param:
             raise ConfigurationError(
                 f"statistic {name!r} takes no parameter (got {spec!r})")

@@ -1,20 +1,19 @@
 """Resilient hierarchical collection: an aggregation tree over switches.
 
 The paper's controller collects one universal sketch per switch and
-composes them by linearity; a flat fan-in works for a handful of agents
-but not for the "hundreds of switches" the RISC vision assumes — the
-root would decode and merge every leaf itself, and one slow or dead
-rack stalls the epoch.  :class:`HierarchicalCoordinator` arranges the
-switches into configurable fan-in tiers (rack → pod → … → root), each
-tier merging its children's sketches *before* shipping one combined
-frame upward, so the root does ``fanout`` merges instead of ``n``.
+composes them by linearity.  :class:`HierarchicalCoordinator` is the
+network's only epoch loop: it arranges the switches into configurable
+fan-in tiers (rack → pod → … → root), each tier merging its children's
+sketches *before* shipping one combined frame upward, so the root does
+``fanout`` merges instead of ``n``.  A flat fleet is the one-tier case
+(fanout >= the switch count: every switch reports to the root).
 Linearity (§5) is what makes this sound: merging per-rack then per-pod
 is exactly the network-wide sum.
 
 Resilience is the point, not an afterthought:
 
-- **per-leaf health** — the same :class:`~repro.network.health`
-  state machine the flat coordinator uses, with probe backoff;
+- **per-leaf health** — the :class:`~repro.network.health` state
+  machine, with single-shot recovery probes and probe backoff;
 - **re-parenting** — when an intermediate aggregator is down, its
   children are adopted by the first live sibling (or, with the whole
   tier down, escalate toward the root, which is the coordinator process
@@ -43,11 +42,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import CodecError, ConfigurationError, TransportError
 from repro.obs.metrics import get_registry
 from repro.controlplane.apps.base import MonitoringApp
-from repro.controlplane.controller import EpochReport
+from repro.controlplane.controller import AppFanout, EpochReport
 from repro.network.codec import NO_BASE, DeltaDecoder, DeltaEncoder, \
     frame_info
 from repro.network.health import HealthTracker
-from repro.core.query import QueryEngine
 from repro.core.universal import UniversalSketch
 
 #: The root aggregator: the coordinator process itself.  It has no
@@ -214,20 +212,22 @@ class HierarchicalCoordinator:
         frame bytes`` and ``ping()``, both raising
         :class:`~repro.errors.TransportError` on failure —
         :class:`~repro.network.faults.SimLink` in the chaos suites,
-        :class:`AgentLink` over real TCP agents.
+        :class:`AgentLink` over real TCP agents.  A link that exposes
+        transport ``counters`` (``retries``/``failures``, as
+        :class:`AgentLink` does) has them reported per epoch.
     sketch_factory:
         Produces the empty sketch each merge fold starts from; must
         match the leaves' geometry/seed.
     fanout:
-        Fan-in per aggregator; a fanout >= the leaf count degenerates to
-        the flat topology (one root, no intermediate tiers).
+        Fan-in per aggregator; a fanout >= the leaf count is the flat
+        topology (one root, no intermediate tiers).
     plan:
         Explicit :class:`TreePlan` overriding ``fanout``.
     policy:
         :class:`ResiliencePolicy`; default publishes everything.
     health:
         Leaf failure detection; defaults to ``suspect_after=1,
-        fail_after=2`` like the flat coordinator.
+        fail_after=2``.
     transfer:
         ``"delta"`` (default) keeps per-link decoder state so leaves and
         uplinks can ship sparse deltas; ``"raw"`` forces every frame to
@@ -266,8 +266,13 @@ class HierarchicalCoordinator:
         self.health = health if health is not None else HealthTracker(
             plan.leaves, suspect_after=1, fail_after=2)
         self.transfer = transfer
-        self._apps: List[MonitoringApp] = []
+        self._apps = AppFanout()
         self._epoch = 0
+        self._counted_links = [link for link in self.links.values()
+                               if hasattr(link, "counters")]
+        # A switch renamed or removed since an earlier coordinator must
+        # not linger as a stale per-switch series.
+        get_registry().clear_family("univmon_tree_poll_seconds")
         self.aggregators: Dict[str, _AggregatorState] = {
             name: _AggregatorState(name, encoder=self._uplink_encoder())
             for name in plan.aggregators()}
@@ -283,9 +288,7 @@ class HierarchicalCoordinator:
     # ------------------------------------------------------------------ #
 
     def register(self, app: MonitoringApp) -> "HierarchicalCoordinator":
-        if any(existing.name == app.name for existing in self._apps):
-            raise ConfigurationError(f"duplicate app name {app.name!r}")
-        self._apps.append(app)
+        self._apps.register(app)
         return self
 
     def kill_aggregator(self, name: str) -> None:
@@ -337,10 +340,8 @@ class HierarchicalCoordinator:
         return self._resolve(primary)
 
     def _resolve(self, agg: str) -> str:
-        if self.aggregators[agg].alive:
+        if self.aggregators[agg].alive:  # always true for the root
             return agg
-        if agg == ROOT:  # pragma: no cover - kill_aggregator forbids this
-            return ROOT
         parent = self.plan.parent[agg]
         for sibling in self.plan.children[parent]:
             if sibling != agg and self.aggregators[sibling].alive:
@@ -369,19 +370,21 @@ class HierarchicalCoordinator:
         link = self.links[name]
         decoder = self._decoder(collector, name)
         base = decoder.base_epoch if self.transfer == "delta" else NO_BASE
-        for attempt in range(2):
-            frame = link.poll(base)
-            self._count_frame(frame, "leaf")
-            try:
-                return decoder.decode(frame)
-            except CodecError:
-                decoder.reset()
-                base = NO_BASE
-                if attempt:
-                    raise
-        return None  # pragma: no cover - loop always returns or raises
+        try:
+            return decoder.decode(self._count_frame(link.poll(base), "leaf"))
+        except CodecError:
+            decoder.reset()
+            return decoder.decode(
+                self._count_frame(link.poll(NO_BASE), "leaf"))
 
-    def _count_frame(self, frame: bytes, hop: str) -> None:
+    def _transport_counts(self) -> Tuple[int, int]:
+        """Cumulative ``(retries, failures)`` across counting links."""
+        links = self._counted_links
+        return (sum(link.counters["retries"] for link in links),
+                sum(link.counters["failures"] for link in links))
+
+    def _count_frame(self, frame: bytes, hop: str) -> bytes:
+        """Account one shipped frame; returns it."""
         info = frame_info(frame)
         self._bytes_wire += len(frame)
         if info.kind == "delta":
@@ -392,6 +395,7 @@ class HierarchicalCoordinator:
             "univmon_tree_bytes_total",
             help="framed sketch bytes shipped through the tree",
             hop=hop).inc(len(frame))
+        return frame
 
     def run_epoch(self, on_tier: Optional[
             Callable[[int, "HierarchicalCoordinator"], None]] = None) \
@@ -406,6 +410,7 @@ class HierarchicalCoordinator:
         epoch_index = self._epoch
         self._epoch += 1
         reg = get_registry()
+        retries_before, failures_before = self._transport_counts()
 
         # Per-epoch accounting, visible to kill_aggregator mid-epoch.
         self._bytes_wire = 0
@@ -436,7 +441,11 @@ class HierarchicalCoordinator:
             if collector != self.plan.parent[name]:
                 reparented[name] = collector
             try:
-                sketch = self._poll_leaf(name, collector)
+                with reg.span("univmon_tree_poll_seconds",
+                              help="per-switch poll latency (incl. "
+                                   "retries and codec re-polls)",
+                              switch=name):
+                    sketch = self._poll_leaf(name, collector)
             except (TransportError, CodecError):
                 self.health.record_failure(name)
                 if not was_failed and not self.health.is_live(name):
@@ -457,23 +466,15 @@ class HierarchicalCoordinator:
                     continue
                 sketch, leaves = self._acc.pop(agg)
                 target = self._resolve(self.plan.parent[agg])
-                if target == agg:  # pragma: no cover - cannot self-ship
-                    continue
                 if target != self.plan.parent[agg]:
                     reparented[agg] = target
                 decoder = self._decoder(target, agg)
                 base = decoder.base_epoch if self.transfer == "delta" \
                     else NO_BASE
+                # Encoder and decoder share this process, so the frame
+                # always applies: no re-poll path on the uplink.
                 frame = state.encoder.encode(sketch, base_epoch=base)
-                self._count_frame(frame, "uplink")
-                try:
-                    shipped = decoder.decode(frame)
-                except CodecError:  # pragma: no cover - same-process pair
-                    decoder.reset()
-                    frame = state.encoder.encode(sketch,
-                                                 base_epoch=NO_BASE)
-                    self._count_frame(frame, "uplink")
-                    shipped = decoder.decode(frame)
+                shipped = decoder.decode(self._count_frame(frame, "uplink"))
                 self._merge_into(target, shipped, leaves)
             if on_tier is not None:
                 on_tier(tier_index, self)
@@ -522,6 +523,20 @@ class HierarchicalCoordinator:
         reg.counter("univmon_tree_lost_in_flight_total",
                     help="packets lost with a mid-epoch aggregator kill"
                     ).inc(self._lost_in_flight)
+        retries_after, failures_after = self._transport_counts()
+        retries = retries_after - retries_before
+        transport_failures = failures_after - failures_before
+        reg.counter("univmon_tree_retries_total",
+                    help="transport retries burned polling switches"
+                    ).inc(retries)
+        reg.counter("univmon_tree_transport_failures_total",
+                    help="switch polls that exhausted their retries"
+                    ).inc(transport_failures)
+        reg.counter("univmon_tree_switches_lost_total",
+                    help="switches newly marked FAILED").inc(len(lost))
+        reg.counter("univmon_tree_switches_recovered_total",
+                    help="switches recovered from FAILED").inc(
+                        len(recovered))
 
         report = EpochReport(epoch_index=epoch_index, start_time=0.0,
                              end_time=0.0, packets=covered_packets)
@@ -546,16 +561,15 @@ class HierarchicalCoordinator:
             "failed": self.health.failed(),
             "lost": sorted(lost),
             "recovered": sorted(recovered),
+            "retries": retries,
+            "transport_failures": transport_failures,
             "dead_aggregators": sorted(
                 name for name, state in self.aggregators.items()
                 if not state.alive),
             "health": self.health.snapshot(),
         }
-        if status != "withheld" and covered_leaves and self._apps:
-            QueryEngine(merged).warm()
-            for app in self._apps:
-                report.results[app.name] = app.on_sketch(merged,
-                                                         epoch_index)
+        if status != "withheld" and covered_leaves:
+            self._apps.run(merged, report)
         self.health.tick()
         self._acc = None
         return report
@@ -576,11 +590,15 @@ class HierarchicalCoordinator:
 
 class AgentLink:
     """Adapt a :class:`~repro.controlplane.rpc.RemoteSwitchClient` to
-    the link surface :class:`HierarchicalCoordinator` expects."""
+    the link surface :class:`HierarchicalCoordinator` expects.  Polls
+    are ``DELTA`` requests; the recovery ping is single-shot."""
 
     def __init__(self, client, program: str = "univmon") -> None:
         self.client = client
         self.program = program
+        #: The client's live transport counters (calls/connects/
+        #: retries/failures), reported per epoch by the coordinator.
+        self.counters = client.counters
 
     def ping(self) -> bool:
         return self.client.ping(retry=self.client.retry.fail_fast())

@@ -14,6 +14,9 @@ service's latency story depends on:
   ``univmon_service_events_dropped_total``.
 - **Slow clients do not penalise fast ones.**  Queues are per-client;
   a full queue affects only its owner.
+- **Shutdown loses no sealed epoch.**  Closing the broker queues
+  :data:`END_OF_STREAM` behind every event already published, so a
+  stream ends only after delivering them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
+
+#: Queued after the last event of a closed broker; streams end on it.
+END_OF_STREAM = None
 
 
 class Subscription:
@@ -70,6 +76,7 @@ class EventBroker:
                 f"queue_size must be >= 1, got {queue_size}")
         self.queue_size = queue_size
         self._subs: List[Subscription] = []
+        self._closed = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._lock = threading.Lock()  # guards _loop hand-off only
 
@@ -83,6 +90,8 @@ class EventBroker:
 
     def subscribe(self) -> Subscription:
         sub = Subscription(self.queue_size)
+        if self._closed:
+            sub.offer(END_OF_STREAM)
         self._subs.append(sub)
         get_registry().gauge(
             "univmon_service_event_subscribers",
@@ -116,6 +125,11 @@ class EventBroker:
                         help="events dropped at full subscriber queues "
                              "(drop-oldest backpressure)").inc(dropped)
 
+    def _close(self) -> None:
+        self._closed = True
+        for sub in self._subs:
+            sub.offer(END_OF_STREAM)
+
     # ------------------------------------------------------------------ #
     # producer-side: called from the ingest thread
     # ------------------------------------------------------------------ #
@@ -126,15 +140,24 @@ class EventBroker:
         Returns False (event discarded) when no loop is bound or the
         loop is already closed — both normal during startup/shutdown.
         """
+        return self._call_soon(self.deliver, event)
+
+    def close_from_thread(self) -> bool:
+        """End every stream once the events published so far (the loop
+        runs callbacks in order) are delivered; later subscribers end
+        at once.  Call after the producer has stopped."""
+        return self._call_soon(self._close)
+
+    def _call_soon(self, callback, *args) -> bool:
         with self._lock:
             loop = self._loop
         if loop is None or loop.is_closed():
             return False
         try:
-            loop.call_soon_threadsafe(self.deliver, event)
+            loop.call_soon_threadsafe(callback, *args)
         except RuntimeError:  # loop closed between check and call
             return False
         return True
 
 
-__all__ = ["EventBroker", "Subscription"]
+__all__ = ["END_OF_STREAM", "EventBroker", "Subscription"]

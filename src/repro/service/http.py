@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ReproError
 from repro.obs.export import to_text, to_json
 from repro.obs.metrics import get_registry
 from repro.core.query import QueryEngine, Statistic
+from repro.service.events import END_OF_STREAM
 
 #: Latency histogram bounds: sub-ms memo hits to second-scale stalls.
 REQUEST_SECONDS_BUCKETS: Tuple[float, ...] = (
@@ -101,6 +102,8 @@ class ServiceHttp:
         # instead of two registry get-or-creates; the registry is kept
         # in the value to guard against id() reuse across registries.
         self._metric_cache: Dict[Tuple[int, str, int], tuple] = {}
+        #: Open ``/events`` stream tasks, awaited at shutdown.
+        self.streams: Set[asyncio.Task] = set()
 
     def _request_metrics(self, route: str, status: int):
         reg = get_registry()
@@ -260,7 +263,7 @@ class ServiceHttp:
                             "statistics must be a non-empty string list")
         try:
             stats = tuple(_parse_stat(spec) for spec in specs)
-        except ConfigurationError as err:
+        except ReproError as err:
             raise HttpError(400, str(err))
         epoch = payload.get("epoch")
         if epoch is None:
@@ -274,7 +277,10 @@ class ServiceHttp:
                             if epoch is not None
                             else "no epoch published yet")
         engine = QueryEngine(record.sketch, memo=self.service.memo)
-        results = engine.evaluate_many(stats)
+        try:
+            results = engine.evaluate_many(stats)
+        except ReproError as err:  # e.g. a g outside Stream-PolyLog
+            raise HttpError(400, str(err))
         return 200, {
             "epoch": record.epoch_index,
             "sealed_at": record.sealed_at,
@@ -290,8 +296,9 @@ class ServiceHttp:
         writer.write(_head(200, "text/event-stream"))
         await writer.drain()
         sub = self.service.broker.subscribe()
+        self.streams.add(asyncio.current_task())
         try:
-            while not self.service.stopping:
+            while True:
                 try:
                     event = await asyncio.wait_for(sub.queue.get(),
                                                    timeout=0.25)
@@ -299,6 +306,8 @@ class ServiceHttp:
                     writer.write(b": keepalive\r\n\r\n")
                     await writer.drain()
                     continue
+                if event is END_OF_STREAM:  # ingest stopped, all sent
+                    break
                 data = json.dumps(event)
                 writer.write(f"data: {data}\n\n".encode("utf-8"))
                 # drain() applies TCP backpressure to *this* task only;
@@ -309,6 +318,7 @@ class ServiceHttp:
             pass
         finally:
             self.service.broker.unsubscribe(sub)
+            self.streams.discard(asyncio.current_task())
 
 
 def _jsonable(value: Any) -> Any:

@@ -88,10 +88,6 @@ class IngestLoop(threading.Thread):
         """Request exit; the loop notices between chunks."""
         self._stop_event.set()
 
-    @property
-    def stopping(self) -> bool:
-        return self._stop_event.is_set()
-
     def run(self) -> None:  # pragma: no branch - exercised via service
         try:
             self._run()

@@ -40,6 +40,9 @@ from repro.service.http import ServiceHttp
 from repro.service.ingest import IngestLoop
 from repro.service.ring import EpochRing, make_record
 
+#: How long shutdown waits for SSE streams to flush their last events.
+_STREAM_DRAIN_SECONDS = 5.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -193,13 +196,12 @@ class MonitoringService:
         self._started.set()
         async with server:
             await self._stop_async.wait()
-        # ``async with`` closed the listener; lingering handler tasks
-        # (SSE streams) exit on ``self.stopping`` within their timeout
-        # tick and asyncio.run cancels anything left.
-
-    @property
-    def stopping(self) -> bool:
-        return self._stopping
+            # Let SSE streams deliver the epoch sealed during shutdown:
+            # each ends at the broker's end-of-stream marker.  A client
+            # stalled past the bound is cancelled by asyncio.run.
+            if self.http.streams:
+                await asyncio.wait(set(self.http.streams),
+                                   timeout=_STREAM_DRAIN_SECONDS)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the ingest loop exits (bounded runs); True if it
@@ -216,6 +218,8 @@ class MonitoringService:
         if self.ingest.is_alive() or self.ingest.ident is not None:
             self.ingest.stop()
             self.ingest.join(timeout)
+        # Queued behind the ingest thread's last (drain-seal) event.
+        self.broker.close_from_thread()
         self.controller.close()
         loop = self._loop
         if loop is not None and not loop.is_closed():

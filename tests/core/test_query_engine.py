@@ -364,3 +364,11 @@ class TestStatisticParse:
     def test_spurious_parameter_rejected(self):
         with pytest.raises(ConfigurationError):
             Statistic.parse("l1:3")
+
+    @pytest.mark.parametrize("spec", ["hh:abc", "entropy:x", "moment:x",
+                                      "hh:0", "hh:1", "hh:-0.1", "hh:nan",
+                                      "entropy:1", "entropy:0",
+                                      "entropy:-2", "entropy:inf"])
+    def test_bad_numbers_are_configuration_errors(self, spec):
+        with pytest.raises(ConfigurationError):
+            Statistic.parse(spec)

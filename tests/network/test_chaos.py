@@ -2,10 +2,11 @@
 
 The acceptance scenario: with every agent behind a :class:`FaultyProxy`
 dropping 30% of connections and one agent killed and restarted mid-run,
-the :class:`RemoteCoordinator` completes every epoch, auto-marks and
-recovers the failed switch, reports accurate coverage and retry
-counters, and — because backoff jitter is seeded and sleeps are
-injected — the whole run is deterministic (asserted by replaying it).
+a flat :class:`HierarchicalCoordinator` over :class:`AgentLink` links
+completes every epoch, auto-marks and recovers the failed switch,
+reports accurate coverage and retry counters, and — because backoff
+jitter is seeded and sleeps are injected — the whole run is
+deterministic (asserted by replaying it).
 """
 
 import pytest
@@ -18,7 +19,7 @@ from repro.controlplane.rpc import (
 from repro.errors import TransportError
 from repro.network.faults import FaultPlan, FaultyProxy
 from repro.network.health import HealthTracker
-from repro.network.remote import RemoteCoordinator
+from repro.network.hierarchy import AgentLink, HierarchicalCoordinator
 from repro.dataplane.keys import src_ip_key
 from repro.dataplane.switch import MonitoredSwitch
 from repro.dataplane.trace import SyntheticTraceConfig, generate_trace
@@ -60,16 +61,23 @@ class _Run:
             for i, (name, agent) in enumerate(self.agents.items())
         }
         self.slept = []
-        self.coordinator = RemoteCoordinator(
-            {name: proxy.address for name, proxy in self.proxies.items()},
-            sketch_factory=factory,
-            retry=RetryPolicy(max_attempts=8, base_delay=0.01, seed=seed),
+        self.clients = {
+            name: RemoteSwitchClient(
+                *proxy.address, timeout=5.0,
+                retry=RetryPolicy(max_attempts=8, base_delay=0.01,
+                                  seed=seed + i),
+                sleep=lambda s: self.slept.append(round(s, 9)))
+            for i, (name, proxy) in enumerate(self.proxies.items())}
+        self.coordinator = HierarchicalCoordinator(
+            {name: AgentLink(client)
+             for name, client in self.clients.items()},
+            factory, fanout=len(self.agents), transfer="raw",
             health=HealthTracker(self.agents, suspect_after=1, fail_after=1,
-                                 probe_every=1),
-            sleep=lambda s: self.slept.append(round(s, 9)))
+                                 probe_every=1))
 
     def close(self):
-        self.coordinator.close()
+        for client in self.clients.values():
+            client.close()
         for proxy in self.proxies.values():
             proxy.stop()
         for agent in self.agents.values():
@@ -118,7 +126,7 @@ class TestAcceptanceScenario:
 
         # Epoch 0: everything healthy (retries possible, failures not).
         first = reports[0]["coverage"]
-        assert first["switches_polled"] == 3
+        assert first["switches_covered"] == 3
         assert first["packets_covered"] == 3 * feed_packets
 
         # The killed switch was auto-marked failed while down...
@@ -126,7 +134,8 @@ class TestAcceptanceScenario:
                                                _Run.RESTART_AFTER]]
         assert any("s1" in c["lost"] for c in down)
         assert all("s1" in c["failed"] for c in down)
-        assert all(c["switches_polled"] == 2 for c in down)
+        assert all(c["switches_covered"] == 2 for c in down)
+        assert all(c["missing_switches"] == ["s1"] for c in down)
         assert all(c["packets_covered"] == 2 * feed_packets for c in down)
 
         # ...and recovered by a probe after the restart.
@@ -135,14 +144,18 @@ class TestAcceptanceScenario:
         assert recovered_at >= _Run.RESTART_AFTER
         last = reports[-1]["coverage"]
         assert last["failed"] == []
-        assert last["switches_polled"] == 3
+        assert last["switches_covered"] == 3
 
-        # 30% connection drops burned retries, and they were reported.
-        assert sum(r["coverage"]["retries"] for r in reports) > 0
+        # 30% connection drops burned retries, and they were reported
+        # exactly: the per-epoch counts add up to the clients' totals.
+        assert sum(r["coverage"]["retries"] for r in reports) == \
+            sum(c.counters["retries"] for c in run.clients.values()) > 0
+        assert sum(r["coverage"]["transport_failures"] for r in reports) \
+            == sum(c.counters["failures"] for c in run.clients.values())
         for report in reports:
             coverage = report["coverage"]
             assert coverage["retries"] >= 0
-            assert (coverage["switches_polled"]
+            assert (coverage["switches_covered"]
                     + len(coverage["failed"]) == 3)
 
     def test_scenario_is_deterministic(self):
@@ -157,7 +170,8 @@ class TestAcceptanceScenario:
             outcomes.append((
                 [r["coverage"]["packets_covered"] for r in reports],
                 [r["coverage"]["retries"] for r in reports],
-                [r["coverage"]["polled"] for r in reports],
+                [r["coverage"]["missing_switches"] for r in reports],
+                [r["coverage"]["transport_failures"] for r in reports],
                 run.slept,
             ))
         assert outcomes[0] == outcomes[1]

@@ -141,17 +141,35 @@ class TestHealthyTree:
 
     def test_tree_merge_equals_flat_merge(self):
         # Linearity: aggregating rack-then-pod-then-root must equal the
-        # flat all-at-once merge, counter for counter.
+        # flat all-at-once merge, and both must equal one sketch fed
+        # every switch's keys, counter for counter.
+        from repro.controlplane.apps.base import MonitoringApp
+
+        class Capture(MonitoringApp):
+            name = "capture"
+
+            def on_sketch(self, sketch, epoch_index):
+                self.sketch = sketch
+                return {}
+
         net = Net(n=12, fanout=3)
         flat = Net(n=12, fanout=100)
-        keys = [zipf_keys(np.random.default_rng(5), 80, flows=64)
-                for _ in range(12)]
-        for i, name in enumerate(net.names):
-            net.switches[name].feed(keys[i])
-            flat.switches[name].feed(keys[i])
-        merged_tree = net.epoch()
-        merged_flat = flat.epoch()
-        assert merged_tree.packets == merged_flat.packets
+        assert net.coord.plan.depth == 3 and flat.coord.plan.depth == 1
+        rng = np.random.default_rng(5)
+        keys = [zipf_keys(rng, 80, flows=64) for _ in range(12)]
+        single = factory()
+        single.update_array(np.concatenate(keys))
+        for coord_net in (net, flat):
+            capture = Capture()
+            coord_net.coord.register(capture)
+            for i, name in enumerate(coord_net.names):
+                coord_net.switches[name].feed(keys[i])
+            assert coord_net.epoch().packets == sum(map(len, keys))
+            merged = capture.sketch
+            assert len(merged.levels) == len(single.levels)
+            for got, want in zip(merged.levels, single.levels):
+                assert np.array_equal(got.sketch.table, want.sketch.table)
+                assert got.weight == want.weight
 
     def test_apps_run_on_published_epochs(self):
         from repro.controlplane.apps.cardinality import CardinalityApp

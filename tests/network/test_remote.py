@@ -1,14 +1,18 @@
-"""Tests for the fault-tolerant remote coordinator (real sockets)."""
+"""Remote collection: a flat (one-tier) HierarchicalCoordinator over
+TCP switch agents reached through AgentLinks (real sockets)."""
 
+import contextlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TransportError
+from repro.controlplane.apps.base import MonitoringApp
 from repro.controlplane.apps.cardinality import CardinalityApp
 from repro.controlplane.rpc import RemoteSwitchClient, RetryPolicy, SwitchAgent
 from repro.network.health import HealthState, HealthTracker
-from repro.network.remote import RemoteCoordinator
+from repro.network.hierarchy import AgentLink, HierarchicalCoordinator
 from repro.dataplane.keys import src_ip_key
 from repro.dataplane.switch import MonitoredSwitch
 from repro.core.universal import UniversalSketch
@@ -28,14 +32,31 @@ NO_SLEEP = lambda seconds: None  # noqa: E731
 FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
-def make_coordinator(agents, **kwargs):
+@contextlib.contextmanager
+def make_coordinator(agents, health=None, **kwargs):
+    """A flat tree (every agent reports to the root) over AgentLinks;
+    the clients are closed on exit."""
     kwargs.setdefault("sketch_factory", factory)
-    kwargs.setdefault("retry", FAST)
-    kwargs.setdefault("sleep", NO_SLEEP)
-    kwargs.setdefault("health",
-                      HealthTracker(agents, suspect_after=1, fail_after=1))
-    return RemoteCoordinator(
-        {name: agent.address for name, agent in agents.items()}, **kwargs)
+    kwargs.setdefault("transfer", "raw")
+    if health is None:
+        health = HealthTracker(agents, suspect_after=1, fail_after=1)
+    clients = {name: RemoteSwitchClient(*agent.address, timeout=5.0,
+                                        retry=FAST, sleep=NO_SLEEP)
+               for name, agent in agents.items()}
+    try:
+        coordinator = HierarchicalCoordinator(
+            {name: AgentLink(client) for name, client in clients.items()},
+            fanout=max(2, len(agents)), health=health, **kwargs)
+        assert coordinator.plan.depth == 1  # flat: the root only
+        yield coordinator
+    finally:
+        for client in clients.values():
+            client.close()
+
+
+def transport_calls(coordinator):
+    return sum(link.counters["calls"]
+               for link in coordinator.links.values())
 
 
 @pytest.fixture()
@@ -49,14 +70,15 @@ def two_agents():
 class TestConfiguration:
     def test_needs_agents(self):
         with pytest.raises(ConfigurationError):
-            RemoteCoordinator({})
+            HierarchicalCoordinator({}, factory)
 
     def test_needs_seeded_factory(self, two_agents):
         with pytest.raises(ConfigurationError):
-            make_coordinator(
-                two_agents,
-                sketch_factory=lambda: UniversalSketch(levels=3, rows=3,
-                                                       width=64, seed=None))
+            with make_coordinator(
+                    two_agents,
+                    sketch_factory=lambda: UniversalSketch(
+                        levels=3, rows=3, width=64, seed=None)):
+                pass
 
     def test_duplicate_app_rejected(self, two_agents):
         with make_coordinator(two_agents) as coordinator:
@@ -73,11 +95,12 @@ class TestHappyPath:
             coordinator.register(CardinalityApp())
             report = coordinator.run_epoch()
         coverage = report["coverage"]
-        assert coverage["switches_polled"] == 2
+        assert coverage["switches_covered"] == 2
         assert coverage["lost"] == [] and coverage["failed"] == []
         assert coverage["packets_covered"] == 2 * len(tiny_trace)
         assert report.packets == 2 * len(tiny_trace)
         assert coverage["retries"] == 0
+        assert coverage["transport_failures"] == 0
         assert report["cardinality"]["distinct"] > 0
 
     def test_epoch_indices_autoincrement(self, two_agents):
@@ -104,7 +127,8 @@ class TestDegradation:
         coverage = report["coverage"]
         assert coverage["lost"] == ["s1"]
         assert coverage["failed"] == ["s1"]
-        assert coverage["switches_polled"] == 1
+        assert coverage["switches_covered"] == 1
+        assert coverage["missing_switches"] == ["s1"]
         assert coverage["packets_covered"] == len(tiny_trace)
         # Retries were burned on the dead switch and reported.
         assert coverage["retries"] == FAST.max_attempts - 1
@@ -119,10 +143,11 @@ class TestDegradation:
                                      probe_every=3)) as coordinator:
             two_agents["s1"].stop()
             coordinator.run_epoch()  # marks s1 FAILED (epochs_failed -> 1)
-            before = coordinator.transport_counters()["calls"]
+            before = transport_calls(coordinator)
             report = coordinator.run_epoch()  # probe not due: s1 skipped
-            after = coordinator.transport_counters()["calls"]
-        assert report["coverage"]["switches_polled"] == 1
+            after = transport_calls(coordinator)
+        assert report["coverage"]["switches_covered"] == 1
+        assert report["coverage"]["transport_failures"] == 0
         assert after - before == 1  # only s0 was contacted at all
 
     def test_all_agents_dead_yields_empty_epoch(self, two_agents):
@@ -131,8 +156,9 @@ class TestDegradation:
             for agent in two_agents.values():
                 agent.stop()
             report = coordinator.run_epoch()
-        assert report["coverage"]["switches_polled"] == 0
+        assert report["coverage"]["switches_covered"] == 0
         assert report["coverage"]["packets_covered"] == 0
+        assert report["coverage"]["transport_failures"] == 2
         assert "cardinality" not in report.results
 
 
@@ -150,7 +176,7 @@ class TestRecovery:
         coverage = report["coverage"]
         assert coverage["recovered"] == ["s1"]
         assert coverage["failed"] == []
-        assert coverage["switches_polled"] == 2
+        assert coverage["switches_covered"] == 2
         assert coverage["packets_covered"] == len(tiny_trace)
         assert coverage["health"]["s1"]["recoveries"] == 1
 
@@ -159,10 +185,9 @@ class TestRecovery:
         with make_coordinator(two_agents) as coordinator:
             two_agents["s1"].stop()
             coordinator.run_epoch()
-            retries_before = coordinator.transport_counters()["retries"]
-            coordinator.run_epoch()  # probe_every=1: ping probe fails fast
-            retries_after = coordinator.transport_counters()["retries"]
-        assert retries_after == retries_before
+            report = coordinator.run_epoch()  # probe_every=1: fails fast
+        assert report["coverage"]["retries"] == 0
+        assert report["coverage"]["failed"] == ["s1"]
 
 
 class TestDeterministicBackoff:
@@ -205,9 +230,9 @@ class TestMetricsHygiene:
         with use_registry(registry):
             with make_coordinator(two_agents) as coordinator:
                 coordinator.run_epoch()
-            assert registry.get("univmon_remote_poll_seconds",
+            assert registry.get("univmon_tree_poll_seconds",
                                 switch="s0") is not None
-            assert registry.get("univmon_remote_poll_seconds",
+            assert registry.get("univmon_tree_poll_seconds",
                                 switch="s1") is not None
 
             survivor = {"s0": two_agents["s0"]}
@@ -216,31 +241,89 @@ class TestMetricsHygiene:
                     health=HealthTracker(survivor,
                                          fail_after=1)) as coordinator:
                 # construction alone must have dropped the stale series
-                assert registry.get("univmon_remote_poll_seconds",
+                assert registry.get("univmon_tree_poll_seconds",
                                     switch="s1") is None
                 coordinator.run_epoch()
-            assert registry.get("univmon_remote_poll_seconds",
+            assert registry.get("univmon_tree_poll_seconds",
                                 switch="s0") is not None
-            assert registry.get("univmon_remote_poll_seconds",
+            assert registry.get("univmon_tree_poll_seconds",
                                 switch="s1") is None
+
+    def test_flat_loop_signals_published(self, two_agents, tiny_trace):
+        """Retries, failures, lost/recovered switches and app spans land
+        under ``univmon_tree_*`` / ``univmon_app_seconds``."""
+        from repro.obs.metrics import MetricsRegistry, use_registry
+        registry = MetricsRegistry()
+        two_agents["s0"].switch.process_trace(tiny_trace)
+        with use_registry(registry):
+            with make_coordinator(two_agents) as coordinator:
+                coordinator.register(CardinalityApp())
+                two_agents["s1"].stop()
+                coordinator.run_epoch()
+        assert registry.counter("univmon_tree_retries_total").value == \
+            FAST.max_attempts - 1
+        assert registry.counter(
+            "univmon_tree_transport_failures_total").value == 1
+        assert registry.counter(
+            "univmon_tree_switches_lost_total").value == 1
+        assert registry.counter(
+            "univmon_tree_switches_recovered_total").value == 0
+        assert registry.get("univmon_app_seconds",
+                            app="cardinality") is not None
+        assert registry.get("univmon_level_heap_occupancy",
+                            level="0") is not None
+
+
+class _Capture(MonitoringApp):
+    name = "capture"
+
+    def __init__(self):
+        self.sketches = []
+
+    def on_sketch(self, sketch, epoch_index):
+        self.sketches.append(sketch)
+        return {}
 
 
 class TestDeltaTransfer:
-    def test_delta_transfer_matches_raw(self, two_agents, tiny_trace):
-        for agent in two_agents.values():
-            agent.switch.process_trace(tiny_trace)
-        with make_coordinator(two_agents,
-                              transfer="delta") as coordinator:
-            coordinator.register(CardinalityApp())
-            report = coordinator.run_epoch()
-        coverage = report["coverage"]
-        assert coverage["switches_polled"] == 2
-        assert coverage["packets_covered"] == 2 * len(tiny_trace)
-        assert report["cardinality"]["distinct"] > 0
+    def test_delta_transfer_matches_raw(self, tiny_trace):
+        """Same traffic, same agents' geometry: the delta exchange
+        reconstructs exactly the sketches full frames ship, epoch after
+        epoch (the second epoch rides a sparse delta)."""
+        merged = {}
+        for transfer in ("raw", "delta"):
+            agents = {"s0": make_agent("s0"), "s1": make_agent("s1")}
+            capture = _Capture()
+            try:
+                with make_coordinator(agents,
+                                      transfer=transfer) as coordinator:
+                    coordinator.register(capture)
+                    for _ in range(2):
+                        for agent in agents.values():
+                            agent.switch.process_trace(tiny_trace)
+                        coverage = coordinator.run_epoch()["coverage"]
+                        assert coverage["switches_covered"] == 2
+                        assert coverage["packets_covered"] == \
+                            2 * len(tiny_trace)
+            finally:
+                for agent in agents.values():
+                    agent.stop()
+            if transfer == "raw":
+                assert coverage["frames_delta"] == 0
+            else:
+                assert coverage["frames_delta"] == 2
+            merged[transfer] = capture.sketches
+        for raw, delta in zip(merged["raw"], merged["delta"]):
+            for a, b in zip(raw.levels, delta.levels):
+                assert np.array_equal(a.sketch.table, b.sketch.table)
+                assert a.weight == b.weight
+            assert sorted(raw.levels[0].topk.items()) == \
+                sorted(delta.levels[0].topk.items())
 
     def test_transfer_mode_validated(self, two_agents):
         with pytest.raises(ConfigurationError):
-            make_coordinator(two_agents, transfer="carrier-pigeon")
+            with make_coordinator(two_agents, transfer="carrier-pigeon"):
+                pass
 
 
 class TestHealthStates:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.dataplane.parallel import shared_memory_available
 from repro.service import ServiceConfig
+from repro.service.service import _STREAM_DRAIN_SECONDS
 
 from tests.service.conftest import http_get, http_post
 
@@ -87,6 +88,26 @@ class TestEndpoints:
         assert status == 404
         status, body = http_get(port, "/query")  # GET on a POST route
         assert status == 405
+
+    @pytest.mark.parametrize("spec", ["hh:abc", "entropy:x", "moment:-1",
+                                      "moment:3", "hh:0", "hh:1.5",
+                                      "entropy:1"])
+    def test_hostile_query_specs_answer_400(self, make_service, spec):
+        """Regression: a spec that fails to parse or to evaluate used to
+        drop the connection with no response."""
+        service = make_service(ServiceConfig(
+            port=0, epoch_seconds=0.1, max_epochs=1))
+        assert service.wait(timeout=30)
+        port = service.port
+        status, body = http_post(port, "/query",
+                                 {"statistics": ["cardinality", spec]})
+        assert status == 400
+        assert body["error"]
+        # ...and the service keeps serving.
+        status, body = http_post(port, "/query",
+                                 {"statistics": ["hh:0.05", "moment:2.0"]})
+        assert status == 200
+        assert body["epoch"] == 0
 
     def test_query_before_first_epoch_is_404(self, make_service):
         service = make_service(ServiceConfig(
@@ -175,6 +196,39 @@ class TestServerSentEvents:
 
 
 class TestGracefulShutdown:
+    def test_sse_delivers_epoch_sealed_during_shutdown(self, make_service):
+        """Regression: streams used to exit on the first keepalive tick
+        after stop() began, racing the ingest thread's drain seal.  The
+        chunk sleep holds that seal back past the tick."""
+        service = make_service(ServiceConfig(
+            port=0, epoch_seconds=0.5, ring_depth=8, chunk_sleep=0.4))
+        with socket.create_connection(("127.0.0.1", service.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"GET /events HTTP/1.1\r\n"
+                         b"Host: localhost\r\n\r\n")
+            buffer = b""
+            while b"data: " not in buffer:  # subscribed, one epoch seen
+                chunk = sock.recv(4096)
+                assert chunk, "stream closed before the first epoch"
+                buffer += chunk
+            time.sleep(0.05)  # mid-epoch, ingest mid chunk sleep
+            started = time.monotonic()
+            service.stop()
+            # The stream ended at the end-of-stream marker, not by
+            # outliving the shutdown's drain bound.
+            assert time.monotonic() - started < _STREAM_DRAIN_SECONDS
+            while True:  # the stream ends by itself once drained
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                buffer += chunk
+        events = [json.loads(line[6:]) for line in buffer.splitlines()
+                  if line.startswith(b"data: ")]
+        epochs = [e["epoch"] for e in events if e["type"] == "epoch"]
+        assert epochs == sorted(epochs)
+        assert epochs[-1] == service.ring.latest().epoch_index
+        assert service.ingest.epochs_sealed == epochs[-1] + 1
+
     def test_stop_drains_everything(self, make_service):
         service = make_service(ServiceConfig(
             port=0, epoch_seconds=0.1, ring_depth=4))

@@ -261,6 +261,16 @@ class TestQueryCommand:
         assert main(["query", "--trace", str(trace), "--stats", ","]) == 2
         assert "bad --stats" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["hh:abc", "entropy:x", "moment:-1",
+                                      "moment:3", "hh:1.5"])
+    def test_hostile_stats_exit_2(self, tmp_path, capsys, spec):
+        """Bad numbers and non-sketchable moments are usage errors, not
+        tracebacks (moment:3 only fails at evaluation)."""
+        trace = self._trace(tmp_path)
+        assert main(["query", "--trace", str(trace),
+                     "--stats", f"cardinality,{spec}"]) == 2
+        assert "bad --stats" in capsys.readouterr().err
+
 
 class TestCoordinateCommand:
     EPOCH_GAP = 0.125  # --epoch value; the patched sleep keys on it

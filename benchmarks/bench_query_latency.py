@@ -151,7 +151,7 @@ def test_speedup_batched_query(sketch):
     # The marginal cost once the epoch's snapshot is already warm (every
     # app after the first): recorded for context, not a floor.
     engine = QueryEngine(sketch)
-    engine.warm()
+    sketch.query_snapshot()
     t_warm = _best_seconds(lambda: engine.evaluate_many(STATISTICS),
                            repeats=repeats)
     speedup = t_scalar / t_batched

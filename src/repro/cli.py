@@ -395,6 +395,43 @@ def _scenario_or_exit_code(name: str, seed: int, scale: float):
         return None, 2
 
 
+def _input_trace(args: argparse.Namespace, command: str,
+                 announce: bool = True):
+    """The trace named by exactly one of ``--trace`` / ``--scenario``.
+
+    Returns ``(trace, exit_code)``; the trace is None when the command
+    should exit with ``exit_code`` instead (no or both inputs, a
+    scenario listing, an unknown scenario).  ``announce`` prints the
+    scenario's one-line summary.
+    """
+    if (args.trace is None) == (args.scenario is None):
+        print(f"{command} needs exactly one input: --trace PATH or "
+              "--scenario NAME", file=sys.stderr)
+        return None, 2
+    if args.scenario is None:
+        return _load_trace(args.trace), 0
+    scenario, code = _scenario_or_exit_code(args.scenario, args.seed,
+                                            args.scale)
+    if scenario is None:
+        return None, code
+    trace = scenario.trace
+    if announce:
+        print(f"scenario {scenario.name!r} (seed {scenario.seed}): "
+              f"{len(trace)} packets over {scenario.n_epochs} "
+              f"{scenario.epoch_seconds:.0f}s epochs — "
+              f"{scenario.description}")
+    return trace, 0
+
+
+def _sketch_factory(memory_kb: int):
+    """The CLI's universal-sketch geometry at a ``--memory-kb`` budget."""
+    from repro.core.universal import UniversalSketch
+
+    budget = memory_kb * 1024
+    return lambda: UniversalSketch.for_memory_budget(
+        budget, levels=12, rows=5, heap_size=64, seed=1)
+
+
 def _with_metrics_json(path: Optional[str], command) -> int:
     """Run ``command()`` under a fresh global registry, dumping JSON.
 
@@ -421,29 +458,12 @@ def _run_monitor(args: argparse.Namespace) -> int:
                                     Controller, DDoSApp, EntropyApp,
                                     HeavyHitterApp)
     from repro.dataplane.keys import KEY_FUNCTIONS
-    from repro.core.universal import UniversalSketch
 
-    if (args.trace is None) == (args.scenario is None):
-        print("run needs exactly one input: --trace PATH or "
-              "--scenario NAME", file=sys.stderr)
-        return 2
-    if args.scenario is not None:
-        scenario, code = _scenario_or_exit_code(args.scenario, args.seed,
-                                                args.scale)
-        if scenario is None:
-            return code
-        trace = scenario.trace
-        print(f"scenario {scenario.name!r} (seed {scenario.seed}): "
-              f"{len(trace)} packets over {scenario.n_epochs} "
-              f"{scenario.epoch_seconds:.0f}s epochs — "
-              f"{scenario.description}")
-    else:
-        trace = _load_trace(args.trace)
+    trace, code = _input_trace(args, "run")
+    if trace is None:
+        return code
     key_function = KEY_FUNCTIONS[args.key]
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
-    controller = Controller(sketch_factory=factory,
+    controller = Controller(sketch_factory=_sketch_factory(args.memory_kb),
                             key_function=key_function,
                             epoch_seconds=args.epoch,
                             workers=args.workers)
@@ -568,16 +588,10 @@ def _cmd_agent(args: argparse.Namespace) -> int:
     from repro.controlplane.rpc import SwitchAgent
     from repro.dataplane.keys import src_ip_key
     from repro.dataplane.switch import MonitoredSwitch
-    from repro.core.universal import UniversalSketch
 
     trace = _load_trace(args.trace)
-    budget = args.memory_kb * 1024
     switch = MonitoredSwitch("agent")
-    switch.attach(
-        "univmon",
-        lambda: UniversalSketch.for_memory_budget(
-            budget, levels=12, rows=5, heap_size=64, seed=1),
-        src_ip_key)
+    switch.attach("univmon", _sketch_factory(args.memory_kb), src_ip_key)
     agent = SwitchAgent(switch, host=args.host, port=args.port).start()
     host, port = agent.address
     print(f"switch agent on {host}:{port}; replaying "
@@ -641,7 +655,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.controlplane.controller import Controller
     from repro.dataplane.keys import KEY_FUNCTIONS
     from repro.dataplane.trace import SyntheticTraceConfig, generate_trace
-    from repro.core.universal import UniversalSketch
 
     if args.trace is not None:
         trace = _load_trace(args.trace)
@@ -649,12 +662,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         trace = generate_trace(SyntheticTraceConfig(
             packets=args.packets, flows=args.flows, duration=args.duration,
             seed=args.seed))
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
     registry = MetricsRegistry()
     with use_registry(registry):
-        controller = Controller(sketch_factory=factory,
+        controller = Controller(sketch_factory=_sketch_factory(args.memory_kb),
                                 key_function=KEY_FUNCTIONS[args.key],
                                 epoch_seconds=args.epoch)
         controller.register(HeavyHitterApp(alpha=0.005)) \
@@ -695,16 +705,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.trace is not None:
         from repro.dataplane.keys import KEY_FUNCTIONS
         from repro.dataplane.switch import MonitoredSwitch
-        from repro.core.universal import UniversalSketch
 
         trace = _load_trace(args.trace)
-        budget = args.memory_kb * 1024
         switch = MonitoredSwitch("query")
-        switch.attach(
-            "univmon",
-            lambda: UniversalSketch.for_memory_budget(
-                budget, levels=12, rows=5, heap_size=64, seed=1),
-            KEY_FUNCTIONS[args.key])
+        switch.attach("univmon", _sketch_factory(args.memory_kb),
+                      KEY_FUNCTIONS[args.key])
         switch.process_trace(trace)
         sketch = switch.poll("univmon")
         show_ip = args.key in ("src_ip", "dst_ip")
@@ -756,25 +761,10 @@ def _detect_monitor(args: argparse.Namespace) -> int:
     from repro.dataplane.keys import KEY_FUNCTIONS
     from repro.dataplane.packet import format_ipv4
     from repro.detect import DetectionPipeline, default_rules, load_rules
-    from repro.core.universal import UniversalSketch
 
-    if (args.trace is None) == (args.scenario is None):
-        print("detect needs exactly one input: --trace PATH or "
-              "--scenario NAME", file=sys.stderr)
-        return 2
-    if args.scenario is not None:
-        scenario, code = _scenario_or_exit_code(args.scenario, args.seed,
-                                                args.scale)
-        if scenario is None:
-            return code
-        trace = scenario.trace
-        if not args.json:
-            print(f"scenario {scenario.name!r} (seed {scenario.seed}): "
-                  f"{len(trace)} packets over {scenario.n_epochs} "
-                  f"{scenario.epoch_seconds:.0f}s epochs — "
-                  f"{scenario.description}")
-    else:
-        trace = _load_trace(args.trace)
+    trace, code = _input_trace(args, "detect", announce=not args.json)
+    if trace is None:
+        return code
     try:
         rules = load_rules(args.rules) if args.rules is not None \
             else default_rules()
@@ -783,10 +773,7 @@ def _detect_monitor(args: argparse.Namespace) -> int:
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"bad rules: {exc}", file=sys.stderr)
         return 2
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
-    controller = Controller(sketch_factory=factory,
+    controller = Controller(sketch_factory=_sketch_factory(args.memory_kb),
                             key_function=KEY_FUNCTIONS[args.key],
                             epoch_seconds=args.epoch)
     controller.register(pipeline)
@@ -854,7 +841,6 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
     from repro.network.health import HealthTracker
     from repro.network.hierarchy import (
         AgentLink, HierarchicalCoordinator, ResiliencePolicy)
-    from repro.core.universal import UniversalSketch
 
     agents = {}
     for spec in args.agents:
@@ -866,9 +852,6 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
             return 2
         agents[name] = (host, int(port))
 
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
     retry = _retry_policy(args)
     health = HealthTracker(agents, suspect_after=1,
                            fail_after=args.fail_after,
@@ -885,8 +868,8 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
     coordinator = HierarchicalCoordinator(
         {name: AgentLink(client, program=args.program)
          for name, client in clients.items()},
-        sketch_factory=factory, fanout=fanout, health=health,
-        transfer=args.transfer,
+        sketch_factory=_sketch_factory(args.memory_kb), fanout=fanout,
+        health=health, transfer=args.transfer,
         policy=ResiliencePolicy(min_coverage=args.min_coverage,
                                 quorum=args.quorum,
                                 fail_open=args.fail_mode == "open"))
@@ -934,20 +917,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry, use_registry
     from repro.dataplane.keys import KEY_FUNCTIONS
     from repro.service import MonitoringService, ServiceConfig
-    from repro.core.universal import UniversalSketch
 
-    if (args.trace is None) == (args.scenario is None):
-        print("serve needs exactly one input: --trace PATH or "
-              "--scenario NAME", file=sys.stderr)
-        return 2
-    if args.scenario is not None:
-        scenario, code = _scenario_or_exit_code(args.scenario, args.seed,
-                                                args.scale)
-        if scenario is None:
-            return code
-        trace = scenario.trace
-    else:
-        trace = _load_trace(args.trace)
+    trace, code = _input_trace(args, "serve", announce=False)
+    if trace is None:
+        return code
 
     apps = []
     if args.detect or args.rules is not None:
@@ -969,14 +942,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"{exc}", file=sys.stderr)
         return 2
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
 
     # The service serves /metrics, so it always runs instrumented.
     with use_registry(MetricsRegistry()):
         service = MonitoringService.from_trace(
-            trace, config, sketch_factory=factory,
+            trace, config, sketch_factory=_sketch_factory(args.memory_kb),
             key_function=KEY_FUNCTIONS[args.key], workers=args.workers,
             apps=apps)
         try:

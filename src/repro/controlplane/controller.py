@@ -18,7 +18,6 @@ from repro.controlplane.apps.base import MonitoringApp
 from repro.dataplane.keys import KeyFunction, src_ip_key
 from repro.dataplane.switch import MonitoredSwitch
 from repro.dataplane.trace import Trace
-from repro.core.query import QueryEngine
 from repro.core.universal import UniversalSketch
 
 
@@ -64,7 +63,7 @@ class AppFanout:
         # Materialise the epoch's query snapshot once, up front: every
         # app below reads the sealed (immutable-from-here) sketch, so
         # they all share this build via the version-guarded cache.
-        QueryEngine(sketch).warm()
+        sketch.query_snapshot()
         if trace is not None:
             for app in self.apps:
                 # Trace-aware apps (e.g. the detection pipeline, which

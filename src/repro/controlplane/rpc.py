@@ -35,7 +35,9 @@ Commands:
 - ``DELTA <program> <base_epoch>`` -> payload = one
   :mod:`repro.network.codec` frame of the sealed sketch: a sparse delta
   when ``base_epoch`` matches the epoch the agent last framed for this
-  program (the receiver's *ack*), a compressed full frame otherwise
+  program (the receiver's *ack*), a compressed full frame otherwise;
+  only universal-sketch programs can be framed, so ``DELTA`` on any
+  other program is an error that leaves its epoch unsealed
 - ``MEMORY``          -> payload = ascii decimal total data-plane bytes
 - ``STATS``           -> payload = ascii ``packets=<n> programs=<k>``
 - ``PING``            -> payload = ``pong``
@@ -84,6 +86,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.core import serialization
+from repro.core.universal import UniversalSketch
 from repro.dataplane.switch import MonitoredSwitch
 
 __all__ = [
@@ -357,6 +360,13 @@ class SwitchAgent:
                 # in through its coordinator re-exports.
                 from repro.network.codec import DeltaEncoder
                 with self._lock:
+                    # Check before sealing: a frame the receiver cannot
+                    # decode would destroy the epoch's counts.
+                    if not isinstance(self.switch.program(parts[1]).sketch,
+                                      UniversalSketch):
+                        raise RpcError(
+                            f"program {parts[1]!r} is not a universal "
+                            f"sketch; use POLL")
                     encoder = self._encoders.get(parts[1])
                     if encoder is None:
                         encoder = self._encoders[parts[1]] = DeltaEncoder()

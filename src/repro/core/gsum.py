@@ -19,13 +19,13 @@ All estimators apply ``g`` to the *magnitude* of the Count Sketch
 estimate: on insert-only streams estimates are already ≈ positive, and on
 difference streams the "frequency" of a key is the magnitude of its delta.
 
-Since the query-engine rewrite, every estimator runs Recursive Sum as
-array reductions over a :class:`~repro.core.query.QuerySnapshot` — the
-per-level heaps and sampling bits materialised once per sketch state and
-cached (on :class:`~repro.core.universal.UniversalSketch`) behind a
-mutation version counter, so all apps polling the same sealed sketch
-share one build.  :func:`estimate_gsum_scalar` keeps the original scalar
-loop as the tested reference implementation.
+Every estimator runs Recursive Sum as array reductions over the
+sketch's :class:`~repro.core.query.QuerySnapshot`
+(``sketch.query_snapshot()``): the per-level heaps and sampling bits
+materialised once per sketch state and cached behind a mutation version
+counter, so all apps polling the same sealed sketch share one build.
+:func:`estimate_gsum_scalar` keeps the original scalar loop as the
+reference the vectorised path is tested against.
 """
 
 from __future__ import annotations
@@ -108,19 +108,6 @@ def _check(g: GFunction) -> None:
         _VALIDATED.popitem(last=False)
 
 
-def snapshot_of(sketch) -> QuerySnapshot:
-    """The sketch state's :class:`QuerySnapshot`.
-
-    Uses the sketch's version-guarded cache when it has one
-    (:meth:`UniversalSketch.query_snapshot`); duck-typed sketches get an
-    uncached build.
-    """
-    cached = getattr(sketch, "query_snapshot", None)
-    if cached is not None:
-        return cached()
-    return QuerySnapshot.build(sketch)
-
-
 def estimate_gsum(sketch, g: GFunction,
                   min_weight: float = 0.5) -> float:
     """Algorithm 2: unbiased estimate of ``G-sum = sum_i g(f_i)``.
@@ -133,8 +120,7 @@ def estimate_gsum(sketch, g: GFunction,
     Parameters
     ----------
     sketch:
-        A :class:`~repro.core.universal.UniversalSketch` (or anything with
-        ``.levels`` and ``.sampler``).
+        A :class:`~repro.core.universal.UniversalSketch`.
     g:
         The statistic's g-function; must be in Stream-PolyLog.
     min_weight:
@@ -143,7 +129,7 @@ def estimate_gsum(sketch, g: GFunction,
     """
     _check(g)
     with _query_span("gsum"):
-        return snapshot_of(sketch).gsum(g, min_weight=min_weight)
+        return sketch.query_snapshot().gsum(g, min_weight=min_weight)
 
 
 def estimate_gsum_scalar(sketch, g: GFunction,
@@ -185,7 +171,7 @@ def g_core(sketch, fraction: float,
     difference sketch (heavy changes).
     """
     with _query_span("heavy_hitters"):
-        snapshot = snapshot_of(sketch)
+        snapshot = sketch.query_snapshot()
         if total is None:
             total = snapshot.total_weight
         return snapshot.gcore(fraction, total=total)
@@ -282,7 +268,7 @@ def estimate_entropy(sketch, base: float = 2.0) -> float:
     spread over more than ``m`` distinct keys).
     """
     with _query_span("entropy"):
-        return entropy_from_snapshot(snapshot_of(sketch), base=base)
+        return entropy_from_snapshot(sketch.query_snapshot(), base=base)
 
 
 def estimate_moment(sketch, p: float) -> float:
@@ -309,7 +295,7 @@ def heavy_changes(sketch_a, sketch_b, phi: float,
     with _query_span("heavy_changes"):
         diff = sketch_a.subtract(sketch_b)
         # One snapshot serves both the D estimate and the G-core listing.
-        snapshot = snapshot_of(diff)
+        snapshot = diff.query_snapshot()
         _check(ABS)
         total = max(0.0, snapshot.gsum(ABS))
         if total <= 0:
@@ -322,7 +308,6 @@ def heavy_changes(sketch_a, sketch_b, phi: float,
 __all__ = [
     "estimate_gsum",
     "estimate_gsum_scalar",
-    "snapshot_of",
     "g_core",
     "estimate_cardinality",
     "estimate_l1",

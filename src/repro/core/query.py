@@ -1,34 +1,30 @@
 """The vectorised control-plane query engine.
 
-PRs 1 and 4 made the data-plane ingest vectorised and multi-core, but
-every control-plane estimate still ran Algorithm 2 as a scalar Python
-loop: one ``g(w)`` call and one ``sampler.bit`` hash per heavy hitter per
-level, repeated from scratch by every app, every epoch.  The whole point
-of the universal-streaming architecture is that *one* generic data
-structure is amortised over many measurement tasks — the query side
-should exploit that sharing too.
+Algorithm 2 as a scalar loop costs one ``g(w)`` call and one
+``sampler.bit`` hash per heavy hitter per level, repeated by every app
+every epoch.  The point of the universal-streaming architecture is that
+*one* generic data structure serves many measurement tasks, so the
+query side shares its work too, in three pieces:
 
-This module does, in three pieces:
-
-- :class:`QuerySnapshot` — the per-level heap state materialised once
-  per sketch state as NumPy arrays: heavy-hitter keys, signed weights,
-  magnitudes, and the *pre-computed* sampling-bit correction factors
-  ``1 - 2*h_{j+1}(i)`` (one packed-tabulation gather per level, see
-  :meth:`~repro.hashing.sampling.LevelSampler.bit_array`).  Recursive
-  Sum then runs as ``levels`` array reductions instead of thousands of
-  Python-level hash and g calls.
+- :class:`QuerySnapshot` — the per-level heap state of one
+  :class:`~repro.core.universal.UniversalSketch` state materialised as
+  NumPy arrays: heavy-hitter keys, signed weights, magnitudes, and the
+  *pre-computed* sampling-bit correction factors ``1 - 2*h_{j+1}(i)``
+  (one fused ``parity_words`` gather for the whole cascade; past 63
+  levels the build uses per-level ``bit_array``).  Recursive Sum then
+  runs as array reductions instead of thousands of Python-level hash
+  and g calls.
 - :class:`Statistic` — a small declarative spec ("entropy in bits",
   "heavy hitters above 0.5%", "F_1.5") naming one estimate.
 - :class:`QueryEngine` — batch evaluation: an arbitrary set of
   statistics computed from *one* snapshot in a single pass
-  (:meth:`QueryEngine.evaluate_many`), which is what the controller,
-  the remote coordinator, and ``univmon query`` use per epoch.
+  (:meth:`QueryEngine.evaluate_many`), which is what the service, the
+  detection pipeline and ``univmon query`` use per epoch.
 
-:class:`~repro.core.universal.UniversalSketch` caches the snapshot
-behind a mutation version counter (``sketch.query_snapshot()``), so the
-scalar convenience estimators in :mod:`repro.core.gsum` — which route
-through snapshots too — share one build per sketch state with any batch
-evaluation, no matter how many apps ask.
+There is one way to get a snapshot: ``sketch.query_snapshot()``, which
+caches it behind the sketch's mutation version counter, so the scalar
+convenience estimators in :mod:`repro.core.gsum` share one build per
+sketch state with any batch evaluation, no matter how many apps ask.
 """
 
 from __future__ import annotations
@@ -56,17 +52,10 @@ def _level_arrays(level) -> Tuple[np.ndarray, np.ndarray]:
     magnitude over dict-insertion order — so G-core output from a
     snapshot is byte-identical to the scalar heap walk.
     """
-    topk = getattr(level, "topk", None)
-    if topk is not None:
-        est = topk._estimates
-        n = len(est)
-        keys = np.fromiter(est.keys(), dtype=np.uint64, count=n)
-        weights = np.fromiter(est.values(), dtype=np.float64, count=n)
-    else:  # duck-typed levels in tests: fall back to the public walk
-        items = level.heavy_hitters()
-        keys = np.array([k for k, _ in items], dtype=np.uint64)
-        weights = np.array([w for _, w in items], dtype=np.float64)
-        return keys, weights
+    est = level.topk._estimates
+    n = len(est)
+    keys = np.fromiter(est.keys(), dtype=np.uint64, count=n)
+    weights = np.fromiter(est.values(), dtype=np.float64, count=n)
     order = np.argsort(-np.abs(weights), kind="stable")
     return keys[order], weights[order]
 
@@ -87,8 +76,7 @@ class QuerySnapshot:
     total_weight:
         The stream weight ``m`` the sketch observed.
     version:
-        The sketch mutation version this snapshot was built at (``None``
-        for uncached duck-typed builds).
+        The sketch mutation version this snapshot was built at.
     """
 
     __slots__ = ("keys", "weights", "mags", "factors", "total_weight",
@@ -111,8 +99,13 @@ class QuerySnapshot:
 
     @classmethod
     def build(cls, sketch, version: Optional[int] = None) -> "QuerySnapshot":
-        """Materialise the snapshot from any sketch with ``.levels`` and
-        ``.sampler`` (heap walk + one bulk bit gather per level)."""
+        """Materialise the snapshot from a sketch shaped like
+        :class:`~repro.core.universal.UniversalSketch`: ``.levels`` each
+        holding a ``TopK``, a ``LevelSampler`` and ``.total_weight``.
+
+        Sampling bits come from one fused ``parity_words`` gather for
+        the whole cascade; past 63 levels the words cannot hold every
+        bit, so the build uses per-level ``bit_array`` gathers."""
         levels = sketch.levels
         sampler = sketch.sampler
         deepest = len(levels) - 1
@@ -124,12 +117,10 @@ class QuerySnapshot:
             keys.append(k)
             weights.append(w)
         upper = keys[:deepest]  # levels needing h_{j+1} correction bits
-        words = None
-        bulk_words = getattr(sampler, "parity_words", None)
-        if bulk_words is not None and upper:
-            # One fused gather for the whole cascade: bit j of the word
-            # for a level-j key is its h_{j+1} sampling bit.
-            words = bulk_words(np.concatenate(upper))
+        # One fused gather for the whole cascade: bit j of the word for
+        # a level-j key is its h_{j+1} sampling bit.
+        words = sampler.parity_words(np.concatenate(upper)) \
+            if upper else None
         if words is not None:
             offset = 0
             for j, k in enumerate(upper):
@@ -137,22 +128,12 @@ class QuerySnapshot:
                 offset += len(k)
                 bits = (w >> np.int64(j)) & np.int64(1)
                 factors.append(1.0 - 2.0 * bits.astype(np.float64))
-        else:  # per-level fallback (levels > 63, or duck-typed samplers)
-            bulk_bits = getattr(sampler, "bit_array", None)
+        else:  # levels > 63: one gather per level
             for j, k in enumerate(upper):
-                if len(k) == 0:
-                    factors.append(np.zeros(0, dtype=np.float64))
-                elif bulk_bits is not None:
-                    bits = bulk_bits(j + 1, k)
-                    factors.append(1.0 - 2.0 * bits.astype(np.float64))
-                else:  # scalar sampler (duck-typed tests)
-                    factors.append(np.array(
-                        [1.0 - 2.0 * sampler.bit(j + 1, int(key))
-                         for key in k], dtype=np.float64))
-        total = getattr(sketch, "total_weight", None)
-        if total is None:
-            total = float(np.sum(weights[0])) if len(weights[0]) else 0.0
-        return cls(keys, weights, factors, float(total), version=version)
+                bits = sampler.bit_array(j + 1, k)
+                factors.append(1.0 - 2.0 * bits.astype(np.float64))
+        return cls(keys, weights, factors, float(sketch.total_weight),
+                   version=version)
 
     # ------------------------------------------------------------------ #
     # Algorithm 2 as array reductions
@@ -173,21 +154,6 @@ class QuerySnapshot:
                                else np.zeros(0, dtype=np.float64))
             self._level_offsets = offsets
         return self._flat_mags, self._level_offsets
-
-    def gvalues(self, g: GFunction, min_weight: float = 0.5) \
-            -> List[np.ndarray]:
-        """Per-level ``g(|w|)`` with sub-``min_weight`` entries zeroed.
-
-        The returned arrays are contiguous views into one fused
-        ``g`` application, so the per-level reductions downstream see
-        exactly the values (and summation order) of a per-level apply.
-        """
-        flat, offsets = self._flat()
-        vals = g.apply_array(flat)
-        if min_weight > 0.0:
-            vals = np.where(flat >= min_weight, vals, 0.0)
-        return [vals[offsets[j]:offsets[j + 1]]
-                for j in range(len(self.mags))]
 
     def _coeffs(self) -> np.ndarray:
         """Recursive-Sum coefficients aligned with the flat magnitudes.
@@ -430,10 +396,10 @@ class QueryEngine:
     """Batched, snapshot-sharing evaluation over one sketch.
 
     All statistics handed to :meth:`evaluate_many` are computed from a
-    single :class:`QuerySnapshot`; when the sketch is a
-    :class:`~repro.core.universal.UniversalSketch` the snapshot comes
-    from its version-guarded cache, so interleaved scalar estimators
-    (``estimate_entropy(sketch)`` from an app, say) reuse the same build.
+    single :class:`QuerySnapshot`, taken from the
+    :class:`~repro.core.universal.UniversalSketch`'s version-guarded
+    cache, so interleaved scalar estimators (``estimate_entropy(sketch)``
+    from an app, say) reuse the same build.
 
     Pass a :class:`QueryMemo` to additionally collapse *repeated
     identical batches* over one snapshot into a single evaluation
@@ -447,15 +413,8 @@ class QueryEngine:
         self.memo = memo
 
     def snapshot(self) -> QuerySnapshot:
-        """This sketch state's snapshot (cached when the sketch caches)."""
-        cached = getattr(self.sketch, "query_snapshot", None)
-        if cached is not None:
-            return cached()
-        return QuerySnapshot.build(self.sketch)
-
-    def warm(self) -> QuerySnapshot:
-        """Build (or revalidate) the snapshot ahead of the first query."""
-        return self.snapshot()
+        """This sketch state's snapshot, from the sketch's cache."""
+        return self.sketch.query_snapshot()
 
     # ------------------------------------------------------------------ #
     # evaluation

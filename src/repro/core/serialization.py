@@ -50,12 +50,6 @@ MAX_ROWS = 512
 MAX_WIDTH = 1 << 24
 MAX_HEAP = 1 << 20
 
-# Backwards-compatible private aliases.
-_MAX_LEVELS = MAX_LEVELS
-_MAX_ROWS = MAX_ROWS
-_MAX_WIDTH = MAX_WIDTH
-_MAX_HEAP = MAX_HEAP
-
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> int:
     if not lo <= value <= hi:
@@ -120,7 +114,7 @@ def _write_topk(out: BinaryIO, topk: TopK) -> None:
 
 def _read_topk(buf: BinaryIO) -> TopK:
     capacity, count = struct.unpack("<II", _read_exact(buf, 8))
-    _check_range("heap capacity", capacity, 1, _MAX_HEAP)
+    _check_range("heap capacity", capacity, 1, MAX_HEAP)
     if count > capacity:
         raise TraceFormatError(
             f"corrupt sketch payload: heap holds {count} items but its "
@@ -146,8 +140,8 @@ def _dump_count_sketch(out: BinaryIO, sketch: CountSketch,
 
 def _load_tableau(buf: BinaryIO, cls, type_name: str):
     rows, width, seed = struct.unpack("<IIq", _read_exact(buf, 16))
-    _check_range("rows", rows, 1, _MAX_ROWS)
-    _check_range("width", width, 1, _MAX_WIDTH)
+    _check_range("rows", rows, 1, MAX_ROWS)
+    _check_range("width", width, 1, MAX_WIDTH)
     sketch = cls(rows=rows, width=width, seed=seed)
     sketch.table = _read_table(buf, rows, width)
     return sketch

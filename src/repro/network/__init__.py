@@ -1,12 +1,9 @@
-"""Network-wide monitoring: topology, distributed sketching, adaptive zoom.
+"""Network-wide monitoring: topology, fleet aggregation, adaptive zoom.
 
 Implements the §5 research directions that have concrete constructions:
 
 - :mod:`~repro.network.topology` — switches, links, shortest-path routing
   (networkx under the hood), and ingress assignment of trace packets.
-- :mod:`~repro.network.distributed` — one universal sketch per switch,
-  merged at the controller via linearity (network-wide view), plus
-  hash-partitioned responsibility to spread data-plane load.
 - :mod:`~repro.network.zoom` — dynamic granularity adjustment: monitor at
   prefix level and refine the heavy prefixes each epoch.
 - :mod:`~repro.network.health` — failure detection: consecutive-failure
@@ -16,14 +13,15 @@ Implements the §5 research directions that have concrete constructions:
   in-process switch/link simulators the scale suites run on.
 - :mod:`~repro.network.codec` — delta-encoded, compressed sketch frames
   with CRC-protected framing and reject-never-corrupt decoding.
-- :mod:`~repro.network.hierarchy` — the network's one epoch loop: an
-  aggregation tree (a flat fleet is its one-tier case) over in-process
-  or TCP links, with retries, re-parenting around dead aggregators,
-  coverage accounting, and resilience policies.
+- :mod:`~repro.network.hierarchy` — the network's one epoch loop and
+  one merge path: same-seed per-switch sketches merged by linearity into
+  the network-wide view, up an aggregation tree (a flat fleet is its
+  one-tier case) over in-process or TCP links, with retries,
+  re-parenting around dead aggregators, coverage accounting, and
+  resilience policies.
 """
 
 from repro.network.topology import NetworkTopology
-from repro.network.distributed import DistributedMonitor
 from repro.network.health import HealthState, HealthTracker
 from repro.network.faults import FaultPlan, FaultyProxy, SimLink, \
     SimulatedSwitch, zipf_keys
@@ -32,8 +30,8 @@ from repro.network.hierarchy import AgentLink, HierarchicalCoordinator, \
     ResiliencePolicy, TreePlan
 from repro.network.zoom import ZoomMonitor
 
-__all__ = ["NetworkTopology", "DistributedMonitor", "HealthState",
-           "HealthTracker", "FaultPlan", "FaultyProxy", "SimLink",
-           "SimulatedSwitch", "zipf_keys", "DeltaDecoder", "DeltaEncoder", "AgentLink",
+__all__ = ["NetworkTopology", "HealthState", "HealthTracker", "FaultPlan",
+           "FaultyProxy", "SimLink", "SimulatedSwitch", "zipf_keys",
+           "DeltaDecoder", "DeltaEncoder", "AgentLink",
            "HierarchicalCoordinator", "ResiliencePolicy", "TreePlan",
            "ZoomMonitor"]

@@ -187,12 +187,6 @@ class DeltaEncoder:
         self._base_epoch = NO_BASE
         self._next_epoch = 0
 
-    @property
-    def last_epoch(self) -> int:
-        """Epoch of the last frame sent (``NO_BASE`` before the first)."""
-        return self._base_epoch if self._base is not None else (
-            self._next_epoch - 1 if self._next_epoch else NO_BASE)
-
     def reset(self) -> None:
         """Forget the stored base (a restarted sender)."""
         self._base = None
@@ -248,16 +242,13 @@ class DeltaEncoder:
         reg = get_registry()
         epoch = self._next_epoch
         self._next_epoch += 1
-        # Only universal sketches have the level structure deltas diff
-        # over; anything else ships as full frames.
-        deltable = isinstance(sketch, UniversalSketch)
         full_body = serialization.dumps(sketch)
         reg.counter("univmon_codec_raw_bytes_total",
                     help="uncompressed full-sketch bytes (the raw-"
                          "transfer baseline)").inc(len(full_body))
 
         frame = None
-        if self.delta and deltable and self._base is not None:
+        if self.delta and self._base is not None:
             if base_epoch == self._base_epoch:
                 delta_frame = self._frame(
                     FRAME_DELTA, self._delta_body(sketch), epoch,
@@ -280,7 +271,7 @@ class DeltaEncoder:
                             reason="stale_ack").inc()
         if frame is None:
             frame = self._frame(FRAME_FULL, full_body, epoch, NO_BASE)
-        if self.delta and deltable:
+        if self.delta:
             self._base = sketch.copy()
             self._base_epoch = epoch
         kind = "delta" if frame[4] == FRAME_DELTA else "full"

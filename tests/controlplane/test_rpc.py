@@ -262,6 +262,28 @@ class TestErrorPaths:
                 client.poll("nope")
             assert client.counters["retries"] == 0
 
+    def test_delta_on_non_universal_program_keeps_the_epoch(self, tiny_trace):
+        """DELTA can only frame universal sketches; asking for one on any
+        other program must fail *before* the epoch is sealed, so a POLL
+        afterwards still returns the pending counts."""
+        from repro.sketches.countmin import CountMinSketch
+
+        switch = MonitoredSwitch("s1")
+        switch.attach("cm", lambda: CountMinSketch(rows=3, width=256,
+                                                   seed=4), src_ip_key)
+        switch.process_trace(tiny_trace)
+        agent = SwitchAgent(switch).start()
+        try:
+            host, port = agent.address
+            with RemoteSwitchClient(host, port, retry=FAIL_FAST) as client:
+                with pytest.raises(RpcError):
+                    client.poll_frame("cm", -1)
+                sealed = client.poll("cm")
+        finally:
+            agent.stop()
+        assert isinstance(sealed, CountMinSketch)
+        assert sealed.table.sum(axis=1).tolist() == [len(tiny_trace)] * 3
+
 
 class TestResilience:
     def test_agent_restart_between_calls(self, tiny_trace):

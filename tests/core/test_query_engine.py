@@ -26,12 +26,10 @@ from repro.core.gsum import (
     estimate_gsum_scalar,
     estimate_l1,
     g_core,
-    snapshot_of,
 )
 from repro.core.query import (
     DEFAULT_STATISTICS,
     QueryEngine,
-    QuerySnapshot,
     Statistic,
 )
 from repro.core.universal import UniversalSketch
@@ -91,13 +89,13 @@ class TestSnapshotParity:
 
     def test_empty_sketch(self):
         u = build_sketch([], levels=4, width=64, heap=8)
-        snapshot = snapshot_of(u)
+        snapshot = u.query_snapshot()
         assert snapshot.heap_entries() == 0
         assert snapshot.gsum(CARDINALITY) == 0.0
         assert snapshot.gcore(0.01) == []
 
     def test_snapshot_records_sketch_state(self, zipf_sketch):
-        snapshot = snapshot_of(zipf_sketch)
+        snapshot = zipf_sketch.query_snapshot()
         assert snapshot.total_weight == zipf_sketch.total_weight
         assert snapshot.version == zipf_sketch.version
         assert snapshot.deepest == len(zipf_sketch.levels) - 1
@@ -111,49 +109,6 @@ class TestSnapshotParity:
         for g in (ABS, CARDINALITY, SQUARE):
             assert_close(estimate_gsum(diff, g),
                          estimate_gsum_scalar(diff, g))
-
-
-class TestDuckTypedFallbacks:
-    """Snapshots must agree with the fast path when built through the
-    scalar-sampler and public-heap-walk fallbacks."""
-
-    def test_scalar_sampler_fallback(self, zipf_sketch):
-        class ScalarSampler:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def bit(self, level, key):
-                return self._inner.bit(level, key)
-
-        class DuckSketch:
-            levels = zipf_sketch.levels
-            sampler = ScalarSampler(zipf_sketch.sampler)
-            total_weight = zipf_sketch.total_weight
-
-        fast = QuerySnapshot.build(zipf_sketch)
-        slow = QuerySnapshot.build(DuckSketch())
-        for f, s in zip(fast.factors, slow.factors):
-            assert np.array_equal(f, s)
-        assert_close(fast.gsum(ENTROPY_SUM), slow.gsum(ENTROPY_SUM))
-
-    def test_public_heap_walk_fallback(self, zipf_sketch):
-        class DuckLevel:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def heavy_hitters(self):
-                return self._inner.heavy_hitters()
-
-        class DuckSketch:
-            levels = [DuckLevel(lv) for lv in zipf_sketch.levels]
-            sampler = zipf_sketch.sampler
-            total_weight = zipf_sketch.total_weight
-
-        fast = QuerySnapshot.build(zipf_sketch)
-        slow = QuerySnapshot.build(DuckSketch())
-        for f, s in zip(fast.keys, slow.keys):
-            assert np.array_equal(f, s)
-        assert_close(fast.gsum(IDENTITY), slow.gsum(IDENTITY))
 
 
 KEY_LISTS = st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1),
@@ -171,6 +126,12 @@ class TestPropertyParity:
                          rows=3)
         g = STOCK_GS[g_index]
         assert_close(estimate_gsum(u, g), estimate_gsum_scalar(u, g))
+        # Past 63 levels the parity words cannot hold every sampling
+        # bit, so the snapshot gathers them one level at a time.
+        deep = build_sketch(keys, seed=seed, levels=64, width=32, heap=4,
+                            rows=2)
+        assert deep.sampler.parity_words(np.zeros(1, np.uint64)) is None
+        assert_close(estimate_gsum(deep, g), estimate_gsum_scalar(deep, g))
 
     @given(keys_a=KEY_LISTS, keys_b=KEY_LISTS)
     @settings(max_examples=20, deadline=None)
@@ -319,17 +280,6 @@ class TestEvaluateMany:
         bogus = Statistic(name="x", kind="nope")
         with pytest.raises(ConfigurationError):
             QueryEngine(zipf_sketch).evaluate(bogus)
-
-    def test_engine_works_on_uncached_duck_sketch(self, zipf_sketch):
-        class DuckSketch:
-            levels = zipf_sketch.levels
-            sampler = zipf_sketch.sampler
-            total_weight = zipf_sketch.total_weight
-
-        results = QueryEngine(DuckSketch()).evaluate_many(
-            [Statistic.cardinality(), Statistic.l1()])
-        assert results["cardinality"] == estimate_cardinality(zipf_sketch)
-        assert results["l1"] == estimate_l1(zipf_sketch)
 
 
 class TestStatisticParse:

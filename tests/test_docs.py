@@ -1,6 +1,9 @@
 """Documentation hygiene: the docs must reference real artifacts."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,14 @@ class TestExamplesRunnable:
             text = path.read_text()
             assert '__name__ == "__main__"' in text, path.name
             assert text.lstrip().startswith(("#!", '"""')), path.name
+
+    @pytest.mark.parametrize(
+        "example", sorted(p.name for p in (ROOT / "examples").glob("*.py")))
+    def test_example_runs(self, example):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / example)], env=env,
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]

@@ -168,7 +168,7 @@ bench-smoke: test-network test-network-scale test-acceptance \
 	    benchmarks/bench_scenarios.py \
 	    benchmarks/bench_detect.py -q -s \
 	    -k "speedup or batch_ingest or crossover or matches or snapshot \
-	        or bytes_on_wire or merge_time or cumulative or scenario_ingest \
+	        or bytes_on_wire or merge_time or scenario_ingest \
 	        or rule_eval"
 	REPRO_BENCH_QUICK=1 PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_service.py -q -s

@@ -8,15 +8,12 @@ records, per point:
   across rack/pod aggregators so the root does ``fanout`` merges);
 - **raw vs delta**: steady-state bytes on the wire per epoch for the
   same Zipf traffic, raw = uncompressed full frames end to end,
-  delta = the codec's per-frame minimum of (compressed) delta and
-  full encodings against each hop's acked base.
+  delta = zlib-compressed full frames (the transfer mode keeps its
+  historical name; every frame is a full frame, DESIGN.md §11).
 
 The release floor is ``raw_bytes / delta_bytes >= 3`` at every swept
-switch count (ISSUE 7 acceptance: "at least 3x fewer bytes than raw
-on steady-state Zipf traffic").  A sealed-and-reset epoch stream shares
-no baseline between epochs, so the winning encoding is the *compressed
-full frame* (DESIGN.md §11); genuine DELTA frames are exercised
-separately on a cumulative counter stream and recorded alongside.
+switch count ("at least 3x fewer bytes than raw on steady-state Zipf
+traffic").
 
 Results go to ``benchmarks/results/BENCH_network.json`` plus an ASCII
 bytes-vs-switch-count figure in ``network_scale.txt``; both are spliced
@@ -31,7 +28,6 @@ import numpy as np
 import pytest
 
 from repro.eval.asciichart import render_chart
-from repro.network.codec import DeltaDecoder, DeltaEncoder, frame_info
 from repro.network.faults import SimLink, SimulatedSwitch, zipf_keys
 from repro.network.hierarchy import HierarchicalCoordinator, TreePlan
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -70,7 +66,7 @@ class Fleet:
         on = transfer == "delta"
         names = [f"sw{i:03d}" for i in range(n)]
         self.switches = {
-            name: SimulatedSwitch(name, factory, delta=on, compress=on)
+            name: SimulatedSwitch(name, factory, compress=on)
             for name in names}
         links = {name: SimLink(self.switches[name], drop_rate=0.0,
                                seed=seed + i)
@@ -91,7 +87,8 @@ class Fleet:
 
 
 def steady_state(n, transfer, fanout=FANOUT):
-    """Per-epoch wire bytes and timings once codec bases are warm."""
+    """Per-epoch wire bytes and timings of the last of ``EPOCHS``
+    epochs (earlier epochs warm the hash tables and caches)."""
     fleet = Fleet(n, transfer, fanout=fanout)
     with use_registry(MetricsRegistry()) as registry:
         for _ in range(EPOCHS - 1):
@@ -172,29 +169,3 @@ def test_merge_time_flat_vs_tree():
     assert largest["tree_root_merge_ms"] <= \
         largest["flat_root_merge_ms"] * 1.5
 
-
-def test_delta_frames_engage_on_cumulative_stream():
-    """On a cumulative counter stream (bases shared between epochs)
-    genuine DELTA frames win; record their steady-state size."""
-    enc, dec = DeltaEncoder(), DeltaDecoder()
-    full_only = DeltaEncoder(delta=False, compress=True)
-    cumulative = factory()
-    rng = np.random.default_rng(3)
-    kinds, delta_bytes, full_bytes = [], [], []
-    for epoch in range(6):
-        cumulative.update_array(
-            zipf_keys(rng, PACKETS_PER_SWITCH, flows=FLOWS))
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        dec.decode(frame)
-        kinds.append(frame_info(frame).kind)
-        delta_bytes.append(len(frame))
-        full_bytes.append(len(full_only.encode(cumulative.copy())))
-    assert kinds[0] == "full" and "delta" in kinds[1:]
-    steady = [b for kind, b in zip(kinds, delta_bytes)
-              if kind == "delta"]
-    _RESULTS["cumulative_delta"] = {
-        "frame_kinds": kinds,
-        "delta_frame_bytes": steady,
-        "compressed_full_bytes": full_bytes[-1],
-        "savings_vs_full": round(full_bytes[-1] / steady[-1], 2),
-    }

@@ -197,8 +197,9 @@ def _add_coordinate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--fanout", type=int, default=8,
                    help="children per tree aggregator (tree topology)")
     p.add_argument("--transfer", choices=["raw", "delta"], default="raw",
-                   help="full frames every poll or delta-compressed "
-                        "frames against the last acked epoch")
+                   help="uncompressed (raw) or zlib-compressed (delta) "
+                        "aggregator uplink frames; agents always send "
+                        "compressed full frames")
     p.add_argument("--min-coverage", type=float, default=0.0,
                    help="fraction of switches an epoch must represent")
     p.add_argument("--quorum", type=float, default=0.0,

@@ -32,10 +32,10 @@ stream can no longer be trusted and the connection must be rebuilt.
 Commands:
 
 - ``POLL <program>``  -> payload = serialized sealed sketch
-- ``DELTA <program> <base_epoch>`` -> payload = one
-  :mod:`repro.network.codec` frame of the sealed sketch: a sparse delta
-  when ``base_epoch`` matches the epoch the agent last framed for this
-  program (the receiver's *ack*), a compressed full frame otherwise;
+- ``DELTA <program> <base_epoch>`` -> payload = one compressed full
+  :mod:`repro.network.codec` frame of the sealed sketch; ``base_epoch``
+  (the receiver's ack; the coordinator always sends ``-1``) must be an
+  integer but is not otherwise read, since every frame is full;
   only universal-sketch programs can be framed, so ``DELTA`` on any
   other program is an error that leaves its epoch unsealed
 - ``MEMORY``          -> payload = ascii decimal total data-plane bytes
@@ -263,7 +263,6 @@ class SwitchAgent:
     def __init__(self, switch: MonitoredSwitch, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.switch = switch
-        self._encoders: Dict[str, object] = {}  # program -> DeltaEncoder
         self._lock = threading.Lock()
         self._conn_lock = threading.Lock()
         self._connections: set = set()
@@ -351,7 +350,7 @@ class SwitchAgent:
                 if len(parts) != 3:
                     raise RpcError("usage: DELTA <program> <base_epoch>")
                 try:
-                    base_epoch = int(parts[2])
+                    int(parts[2])
                 except ValueError:
                     raise RpcError(
                         f"base_epoch must be an integer, got "
@@ -367,12 +366,8 @@ class SwitchAgent:
                         raise RpcError(
                             f"program {parts[1]!r} is not a universal "
                             f"sketch; use POLL")
-                    encoder = self._encoders.get(parts[1])
-                    if encoder is None:
-                        encoder = self._encoders[parts[1]] = DeltaEncoder()
                     sealed = self.switch.poll(parts[1])
-                    return STATUS_OK, encoder.encode(
-                        sealed, base_epoch=base_epoch)
+                return STATUS_OK, DeltaEncoder().encode(sealed)
             raise RpcError(f"unknown command {verb!r}")
         except ReproError as exc:
             return STATUS_ERROR, str(exc).encode()
@@ -525,8 +520,8 @@ class RemoteSwitchClient:
         return serialization.loads(self._call(f"POLL {program}"))
 
     def poll_frame(self, program: str, base_epoch: int) -> bytes:
-        """Poll-and-reset one program as a codec frame, acking
-        ``base_epoch`` as the epoch this side already holds.  Returns
-        the raw frame bytes; decode with a
+        """Poll-and-reset one program as a codec frame, sending
+        ``base_epoch`` as the request's ack field.  Returns the raw
+        frame bytes; decode with a
         :class:`~repro.network.codec.DeltaDecoder`."""
         return self._call(f"DELTA {program} {int(base_epoch)}")

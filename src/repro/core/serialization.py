@@ -19,6 +19,7 @@ for a 5-second polling cadence.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import BinaryIO, Union
 
@@ -43,8 +44,6 @@ _TYPE_UNIVERSAL = 4
 # must not translate into a multi-gigabyte allocation or a numpy reshape
 # traceback; anything outside these bounds is rejected as a format error.
 # The largest geometry the experiments use is orders of magnitude smaller.
-# Shared with :mod:`repro.network.codec`, whose delta frames carry the
-# same geometry fields and face the same hostile inputs.
 MAX_LEVELS = 64
 MAX_ROWS = 512
 MAX_WIDTH = 1 << 24
@@ -112,9 +111,12 @@ def _write_topk(out: BinaryIO, topk: TopK) -> None:
         out.write(struct.pack("<Qd", key, estimate))
 
 
-def _read_topk(buf: BinaryIO) -> TopK:
+def _read_topk(buf: BinaryIO, heap_size: int) -> TopK:
     capacity, count = struct.unpack("<II", _read_exact(buf, 8))
-    _check_range("heap capacity", capacity, 1, MAX_HEAP)
+    if capacity != heap_size:
+        raise TraceFormatError(
+            f"corrupt sketch payload: heap capacity {capacity} differs "
+            f"from the sketch's heap size {heap_size}")
     if count > capacity:
         raise TraceFormatError(
             f"corrupt sketch payload: heap holds {count} items but its "
@@ -122,6 +124,10 @@ def _read_topk(buf: BinaryIO) -> TopK:
     topk = TopK(capacity)
     for _ in range(count):
         key, estimate = struct.unpack("<Qd", _read_exact(buf, 16))
+        if not math.isfinite(estimate):
+            raise TraceFormatError(
+                f"corrupt sketch payload: non-finite heap estimate "
+                f"{estimate} for key {key}")
         topk.offer(key, estimate)
     return topk
 
@@ -173,7 +179,7 @@ def _load_universal(buf: BinaryIO) -> UniversalSketch:
         level.packets, level.weight = struct.unpack(
             "<qq", _read_exact(buf, 16))
         level.sketch.table = _read_table(buf, rows, width)
-        level.topk = _read_topk(buf)
+        level.topk = _read_topk(buf, heap_size)
     return sketch
 
 
@@ -207,7 +213,9 @@ def loads(data: Union[bytes, bytearray]):
 
     Truncated or corrupt payloads raise :class:`TraceFormatError` — never
     a raw ``struct.error`` or numpy reshape traceback — so transport
-    layers can treat any decode failure uniformly.
+    layers can treat any decode failure uniformly.  So do bytes left
+    over after the sketch, a heap whose capacity is not the sketch's
+    heap size, and non-finite heap estimates.
     """
     buf = io.BytesIO(bytes(data))
     magic = buf.read(4)
@@ -216,13 +224,18 @@ def loads(data: Union[bytes, bytearray]):
     try:
         (type_tag,) = struct.unpack("<B", _read_exact(buf, 1))
         if type_tag == _TYPE_UNIVERSAL:
-            return _load_universal(buf)
-        if type_tag == _TYPE_COUNT_SKETCH:
-            return _load_tableau(buf, CountSketch, "CountSketch")
-        if type_tag == _TYPE_COUNT_MIN:
-            return _load_tableau(buf, CountMinSketch, "CountMinSketch")
-        if type_tag == _TYPE_KARY:
-            return _load_tableau(buf, KArySketch, "KArySketch")
+            sketch = _load_universal(buf)
+        elif type_tag == _TYPE_COUNT_SKETCH:
+            sketch = _load_tableau(buf, CountSketch, "CountSketch")
+        elif type_tag == _TYPE_COUNT_MIN:
+            sketch = _load_tableau(buf, CountMinSketch, "CountMinSketch")
+        elif type_tag == _TYPE_KARY:
+            sketch = _load_tableau(buf, KArySketch, "KArySketch")
+        else:
+            raise TraceFormatError(f"unknown sketch type tag {type_tag}")
     except (struct.error, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"corrupt sketch payload: {exc}") from exc
-    raise TraceFormatError(f"unknown sketch type tag {type_tag}")
+    if buf.read(1):
+        raise TraceFormatError(
+            "corrupt sketch payload: trailing bytes after the sketch")
+    return sketch

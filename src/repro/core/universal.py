@@ -303,17 +303,14 @@ class UniversalSketch(Sketch):
 
     def _combine(self, other: "UniversalSketch", sign: int) -> "UniversalSketch":
         self._check_compatible(other)
-        out = UniversalSketch(levels=self.num_levels, rows=self.rows,
-                              width=self.width, heap_size=self.heap_size,
-                              seed=self.seed, counter_bytes=self.counter_bytes)
-        for j, (a, b) in enumerate(zip(self.levels, other.levels)):
-            lvl = out.levels[j]
+        out = self.copy()
+        for lvl, b in zip(out.levels, other.levels):
             if sign > 0:
-                lvl.sketch = a.sketch.merge(b.sketch)
+                lvl.sketch.table += b.sketch.table
             else:
-                lvl.sketch = a.sketch.subtract(b.sketch)
-            lvl.packets = a.packets + b.packets
-            lvl.weight = a.weight + sign * b.weight
+                lvl.sketch.table -= b.sketch.table
+            lvl.packets += b.packets
+            lvl.weight += sign * b.weight
             # Rebuild Q_j from the union of both heaps' keys, re-queried
             # against the combined counters.  One offer_many over the
             # sorted union keeps the rebuild O(capacity) in Python work
@@ -321,18 +318,18 @@ class UniversalSketch(Sketch):
             # with the sum of both inputs' counters, so they keep meaning
             # "data-plane churn of the combined stream" rather than
             # accumulating this control-plane rebuild.
-            union = set(a.topk.keys()) | set(b.topk.keys())
+            union = set(lvl.topk.keys()) | set(b.topk.keys())
             heap = TopK(self.heap_size)
             if union:
                 keys = np.fromiter(union, dtype=np.uint64, count=len(union))
                 keys.sort()
                 estimates = lvl.sketch.query_many(keys)
                 heap.offer_many(keys, estimates, sorted_keys=True)
-            heap.offers = a.topk.offers + b.topk.offers
-            heap.evictions = a.topk.evictions + b.topk.evictions
-            heap.rejections = a.topk.rejections + b.topk.rejections
+            heap.offers = lvl.topk.offers + b.topk.offers
+            heap.evictions = lvl.topk.evictions + b.topk.evictions
+            heap.rejections = lvl.topk.rejections + b.topk.rejections
             lvl.topk = heap
-        out.packets = self.packets + other.packets
+        out.packets += other.packets
         return out
 
     def copy(self) -> "UniversalSketch":

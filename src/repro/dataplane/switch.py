@@ -117,8 +117,7 @@ class MonitoredSwitch:
             program.total_cost = program.total_cost \
                 + program.sketch.update_cost()
 
-    def process_trace(self, trace: Trace, workers: int = 1,
-                      shard_policy: str = "range") -> None:
+    def process_trace(self, trace: Trace, workers: int = 1) -> None:
         """Bulk path: vectorised when the sketch supports it.
 
         With ``workers > 1``, programs whose sketch is a seeded
@@ -145,7 +144,7 @@ class MonitoredSwitch:
             if workers > 1 and self._shardable(sketch):
                 from repro.dataplane.parallel import ShardedIngest
                 result = ShardedIngest.like(
-                    sketch, workers=workers, policy=shard_policy,
+                    sketch, workers=workers,
                     pool=self._ingest_pool(workers)).ingest_keys(
                         keys, weights)
                 program.sketch = sketch.merge(result.sketch)

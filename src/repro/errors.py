@@ -42,18 +42,11 @@ class ShardFailureError(ReproError):
 
 
 class CodecError(TraceFormatError):
-    """A compressed/delta sketch frame failed validation (bad magic,
-    checksum mismatch, out-of-range indices, overflowing deltas).  The
-    codec rejects such frames outright — it never applies a partially
-    validated delta, so a hostile or corrupt frame can make a transfer
-    fail but can never corrupt the receiver's sketch state."""
-
-
-class StaleBaseError(CodecError):
-    """A delta frame references a base epoch the receiver does not hold
-    (the peer restarted, or frames were lost since the last ack).  The
-    receiver cannot apply the delta; the sender must fall back to a
-    full frame."""
+    """A compressed sketch frame failed validation (bad magic, checksum
+    mismatch, unknown type, a body that does not decode to a valid
+    ingest sketch).  The codec rejects such frames outright, so a
+    hostile or corrupt frame can make a transfer fail but can never
+    hand the receiver a corrupt sketch."""
 
 
 class RpcError(ReproError):

@@ -204,25 +204,22 @@ class SimulatedSwitch:
     The TCP chaos proxy above exercises the real transport, but at 200+
     switches a socket per agent is all overhead and no extra coverage.
     :class:`SimulatedSwitch` keeps the *semantics* that matter to the
-    resilience story — seal-and-swap polling, a per-uplink
-    :class:`~repro.network.codec.DeltaEncoder`, and exact packet
-    accounting (``fed_total == polled + lost + pending`` at all times,
-    which is what the conservation assertions check) — without the
-    sockets.
+    resilience story — seal-and-swap polling, codec-framed uplinks
+    (:class:`~repro.network.codec.DeltaEncoder`; ``compress=False`` is
+    the raw-transfer baseline), and exact packet accounting
+    (``fed_total == polled + lost + pending`` at all times, which is
+    what the conservation assertions check) — without the sockets.
 
     ``kill()`` loses whatever the current epoch sketch holds (a dead
-    switch's un-polled counters are gone for good) and forgets the
-    encoder base, exactly as a restarted process would.
+    switch's un-polled counters are gone for good).
     """
 
-    def __init__(self, name: str, sketch_factory, delta: bool = True,
+    def __init__(self, name: str, sketch_factory,
                  compress: bool = True) -> None:
         self.name = name
         self.sketch_factory = sketch_factory
-        self._delta = delta
-        self._compress = compress
         self.sketch = sketch_factory()
-        self.encoder = DeltaEncoder(delta=delta, compress=compress)
+        self.encoder = DeltaEncoder(compress=compress)
         self.alive = True
         self.fed_total = 0    # packets ever offered while alive
         self.lost_total = 0   # packets destroyed by kills (pending at death)
@@ -238,22 +235,19 @@ class SimulatedSwitch:
         return len(keys)
 
     def kill(self) -> None:
-        """Crash: pending epoch state and encoder lineage are lost."""
+        """Crash: pending epoch state is lost."""
         if not self.alive:
             return
         self.alive = False
         self.lost_total += self.sketch.packets
         self.sketch = self.sketch_factory()
-        self.encoder.reset()
 
     def restart(self) -> None:
-        """Come back empty, starting a fresh encoder lineage."""
+        """Come back empty."""
         if self.alive:
             return
         self.alive = True
         self.sketch = self.sketch_factory()
-        self.encoder = DeltaEncoder(delta=self._delta,
-                                    compress=self._compress)
 
     @property
     def pending(self) -> int:
@@ -261,12 +255,13 @@ class SimulatedSwitch:
         return self.sketch.packets if self.alive else 0
 
     def poll(self, base_epoch: int) -> bytes:
-        """Seal the current epoch and frame it for a receiver that
-        claims to hold ``base_epoch``."""
+        """Seal the current epoch and frame it.  ``base_epoch`` is the
+        receiver's ack in the poll protocol's ``DELTA`` request; every
+        frame is full, so it is not read."""
         sealed = self.sketch
         self.sketch = self.sketch_factory()
         self.polled_total += sealed.packets
-        return self.encoder.encode(sealed, base_epoch=base_epoch)
+        return self.encoder.encode(sealed)
 
 
 class SimLink:

@@ -26,25 +26,26 @@ Resilience is the point, not an afterthought:
   ``fail_open`` decide whether a degraded epoch is published,
   published-degraded, or withheld, instead of exact-or-nothing.
 
-Transfers use :mod:`repro.network.codec` end to end: leaves frame their
-sealed epoch sketches against the collector's acked base, and each
-aggregator's uplink does the same one tier up.  Re-parenting composes
-with the codec's ack discipline for free — a fresh collector claims
-``NO_BASE`` and simply receives a full frame.
+Transfers use :mod:`repro.network.codec` end to end: each leaf ships
+its sealed epoch sketch as one compressed full frame, and each
+aggregator's uplink does the same one tier up.  Frames carry no
+lineage, so re-parenting needs no codec bookkeeping: any collector can
+decode any child's frame.  A frame the decoder rejects counts as that
+leaf's failed poll — its epoch was sealed on the switch, so its packets
+are missing from this epoch's merge and its coverage.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, ConfigurationError, TransportError
 from repro.obs.metrics import get_registry
 from repro.controlplane.apps.base import MonitoringApp
 from repro.controlplane.controller import AppFanout, EpochReport
-from repro.network.codec import NO_BASE, DeltaDecoder, DeltaEncoder, \
-    frame_info
+from repro.network.codec import NO_BASE, DeltaDecoder, DeltaEncoder
 from repro.network.health import HealthTracker
 from repro.core.universal import UniversalSketch
 
@@ -183,25 +184,6 @@ class ResiliencePolicy:
         return "withheld", True
 
 
-@dataclass
-class _AggregatorState:
-    """Mutable per-aggregator runtime state (liveness + codec peers)."""
-
-    name: str
-    alive: bool = True
-    #: Receive-side codec state, one decoder per child this node has
-    #: ever collected from (adopted children included).
-    decoders: Dict[str, DeltaDecoder] = field(default_factory=dict)
-    #: Send-side codec state for this node's uplink.
-    encoder: DeltaEncoder = field(default_factory=DeltaEncoder)
-
-    def crash(self) -> None:
-        """Process death: every codec lineage this node held is gone."""
-        self.alive = False
-        self.decoders.clear()
-        self.encoder.reset()
-
-
 class HierarchicalCoordinator:
     """Epoch loop over an aggregation tree of switch links.
 
@@ -229,10 +211,11 @@ class HierarchicalCoordinator:
         Leaf failure detection; defaults to ``suspect_after=1,
         fail_after=2``.
     transfer:
-        ``"delta"`` (default) keeps per-link decoder state so leaves and
-        uplinks can ship sparse deltas; ``"raw"`` forces every frame to
-        claim ``NO_BASE`` — the uncompressed-baseline mode of the
-        benchmarks is the links' own business (their encoders).
+        ``"delta"`` (default) compresses the aggregators' uplink frames;
+        ``"raw"`` ships them uncompressed — the raw-transfer baseline of
+        the benchmarks (leaf frames are the links' own business: their
+        encoders).  Every frame is a full frame either way; the name
+        ``"delta"`` is kept for existing callers.
     """
 
     def __init__(self, links: Mapping[str, object],
@@ -273,15 +256,12 @@ class HierarchicalCoordinator:
         # A switch renamed or removed since an earlier coordinator must
         # not linger as a stale per-switch series.
         get_registry().clear_family("univmon_tree_poll_seconds")
-        self.aggregators: Dict[str, _AggregatorState] = {
-            name: _AggregatorState(name, encoder=self._uplink_encoder())
-            for name in plan.aggregators()}
-
-    def _uplink_encoder(self) -> DeltaEncoder:
-        """Send-side codec for an aggregator's uplink, honouring the
-        coordinator's transfer mode (raw = uncompressed full frames)."""
-        on = self.transfer == "delta"
-        return DeltaEncoder(delta=on, compress=on)
+        self._encoder = DeltaEncoder(compress=transfer == "delta")
+        self._decoder = DeltaDecoder()
+        self._dead: set = set()  # crashed aggregators
+        #: collector -> (accumulated sketch, leaves it represents) for
+        #: the epoch in progress; reset as each epoch starts.
+        self._acc: Dict[str, Tuple[UniversalSketch, set]] = {}
 
     # ------------------------------------------------------------------ #
     # configuration / fault injection
@@ -298,31 +278,23 @@ class HierarchicalCoordinator:
             raise ConfigurationError(
                 "the root is the coordinator process itself; stop the "
                 "epoch loop instead of killing it")
-        state = self._aggregator(name)
-        if not state.alive:
+        self._check_aggregator(name)
+        if name in self._dead:
             return
-        state.crash()
-        acc = getattr(self, "_acc", None)
-        if acc is not None and name in acc:
-            sketch, leaves = acc.pop(name)
+        self._dead.add(name)
+        if name in self._acc:
+            sketch, leaves = self._acc.pop(name)
             self._lost_in_flight += sketch.packets
             self._lost_leaves.update(leaves)
 
     def restart_aggregator(self, name: str) -> None:
-        """Bring an aggregator back empty (fresh codec lineages)."""
-        state = self._aggregator(name)
-        if state.alive:
-            return
-        state.alive = True
-        state.decoders = {}
-        state.encoder = self._uplink_encoder()
+        """Bring an aggregator back empty."""
+        self._check_aggregator(name)
+        self._dead.discard(name)
 
-    def _aggregator(self, name: str) -> _AggregatorState:
-        try:
-            return self.aggregators[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown aggregator {name!r}") from None
+    def _check_aggregator(self, name: str) -> None:
+        if name not in self.plan.children:
+            raise ConfigurationError(f"unknown aggregator {name!r}")
 
     # ------------------------------------------------------------------ #
     # re-parenting
@@ -340,17 +312,13 @@ class HierarchicalCoordinator:
         return self._resolve(primary)
 
     def _resolve(self, agg: str) -> str:
-        if self.aggregators[agg].alive:  # always true for the root
+        if agg not in self._dead:  # always true for the root
             return agg
         parent = self.plan.parent[agg]
         for sibling in self.plan.children[parent]:
-            if sibling != agg and self.aggregators[sibling].alive:
+            if sibling != agg and sibling not in self._dead:
                 return sibling
         return self._resolve(parent)
-
-    def _decoder(self, collector: str, child: str) -> DeltaDecoder:
-        return self.aggregators[collector].decoders.setdefault(
-            child, DeltaDecoder())
 
     # ------------------------------------------------------------------ #
     # epoch loop
@@ -363,39 +331,21 @@ class HierarchicalCoordinator:
             -> List[EpochReport]:
         return [self.run_epoch(on_tier=on_tier) for _ in range(count)]
 
-    def _poll_leaf(self, name: str, collector: str) -> \
-            Optional[UniversalSketch]:
-        """One leaf poll with codec recovery: a rejected frame resets
-        the decoder and forces exactly one full-frame re-poll."""
-        link = self.links[name]
-        decoder = self._decoder(collector, name)
-        base = decoder.base_epoch if self.transfer == "delta" else NO_BASE
-        try:
-            return decoder.decode(self._count_frame(link.poll(base), "leaf"))
-        except CodecError:
-            decoder.reset()
-            return decoder.decode(
-                self._count_frame(link.poll(NO_BASE), "leaf"))
-
     def _transport_counts(self) -> Tuple[int, int]:
         """Cumulative ``(retries, failures)`` across counting links."""
         links = self._counted_links
         return (sum(link.counters["retries"] for link in links),
                 sum(link.counters["failures"] for link in links))
 
-    def _count_frame(self, frame: bytes, hop: str) -> bytes:
-        """Account one shipped frame; returns it."""
-        info = frame_info(frame)
+    def _ship(self, frame: bytes, hop: str) -> UniversalSketch:
+        """Account one shipped frame and decode it."""
         self._bytes_wire += len(frame)
-        if info.kind == "delta":
-            self._frames_delta += 1
-        else:
-            self._frames_full += 1
+        self._frames_full += 1
         get_registry().counter(
             "univmon_tree_bytes_total",
             help="framed sketch bytes shipped through the tree",
             hop=hop).inc(len(frame))
-        return frame
+        return self._decoder.decode(frame)
 
     def run_epoch(self, on_tier: Optional[
             Callable[[int, "HierarchicalCoordinator"], None]] = None) \
@@ -415,12 +365,10 @@ class HierarchicalCoordinator:
         # Per-epoch accounting, visible to kill_aggregator mid-epoch.
         self._bytes_wire = 0
         self._frames_full = 0
-        self._frames_delta = 0
         self._lost_in_flight = 0
         self._lost_leaves: set = set()
         self._root_merge_s = 0.0
-        #: collector -> (accumulated sketch, leaves it represents)
-        self._acc: Dict[str, Tuple[UniversalSketch, set]] = {}
+        self._acc = {}
 
         lost: List[str] = []
         recovered: List[str] = []
@@ -443,9 +391,10 @@ class HierarchicalCoordinator:
             try:
                 with reg.span("univmon_tree_poll_seconds",
                               help="per-switch poll latency (incl. "
-                                   "retries and codec re-polls)",
+                                   "retries)",
                               switch=name):
-                    sketch = self._poll_leaf(name, collector)
+                    sketch = self._ship(self.links[name].poll(NO_BASE),
+                                        "leaf")
             except (TransportError, CodecError):
                 self.health.record_failure(name)
                 if not was_failed and not self.health.is_live(name):
@@ -461,20 +410,13 @@ class HierarchicalCoordinator:
         # ---- aggregator tiers ship bottom-up ------------------------ #
         for tier_index, tier in enumerate(self.plan.tiers[:-1], start=1):
             for agg, _ in tier:
-                state = self.aggregators[agg]
-                if not state.alive or agg not in self._acc:
+                if agg in self._dead or agg not in self._acc:
                     continue
                 sketch, leaves = self._acc.pop(agg)
                 target = self._resolve(self.plan.parent[agg])
                 if target != self.plan.parent[agg]:
                     reparented[agg] = target
-                decoder = self._decoder(target, agg)
-                base = decoder.base_epoch if self.transfer == "delta" \
-                    else NO_BASE
-                # Encoder and decoder share this process, so the frame
-                # always applies: no re-poll path on the uplink.
-                frame = state.encoder.encode(sketch, base_epoch=base)
-                shipped = decoder.decode(self._count_frame(frame, "uplink"))
+                shipped = self._ship(self._encoder.encode(sketch), "uplink")
                 self._merge_into(target, shipped, leaves)
             if on_tier is not None:
                 on_tier(tier_index, self)
@@ -556,22 +498,20 @@ class HierarchicalCoordinator:
             "lost_in_flight_switches": sorted(self._lost_leaves),
             "bytes_wire": self._bytes_wire,
             "frames_full": self._frames_full,
-            "frames_delta": self._frames_delta,
+            # Always 0 (every frame is full); kept for report readers.
+            "frames_delta": 0,
             "packets_covered": covered_packets,
             "failed": self.health.failed(),
             "lost": sorted(lost),
             "recovered": sorted(recovered),
             "retries": retries,
             "transport_failures": transport_failures,
-            "dead_aggregators": sorted(
-                name for name, state in self.aggregators.items()
-                if not state.alive),
+            "dead_aggregators": sorted(self._dead),
             "health": self.health.snapshot(),
         }
         if status != "withheld" and covered_leaves:
             self._apps.run(merged, report)
         self.health.tick()
-        self._acc = None
         return report
 
     def _merge_into(self, collector: str, sketch: UniversalSketch,

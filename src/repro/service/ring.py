@@ -154,8 +154,7 @@ def make_record(epoch_index: int, sealed, report,
     readers — the one snapshot build per epoch that
     ``univmon_query_snapshot_builds_total`` counts.
     """
-    snapshot = sealed.query_snapshot() \
-        if hasattr(sealed, "query_snapshot") else None
+    snapshot = sealed.query_snapshot()
     return EpochRecord(
         epoch_index=epoch_index,
         sealed_at=time.time() if sealed_at is None else sealed_at,

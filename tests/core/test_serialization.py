@@ -214,6 +214,41 @@ class TestHardening:
         with pytest.raises(TraceFormatError, match="capacity"):
             serialization.loads(bytes(data))
 
+    def test_heap_capacity_other_than_heap_size_rejected(self):
+        u = filled_universal()
+        data = bytearray(serialization.dumps(u))
+        table_off = 37 + 16
+        (nbytes,) = struct.unpack_from("<I", data, table_off)
+        capacity_off = table_off + 4 + nbytes
+        struct.pack_into("<I", data, capacity_off, 1 << 20)
+        with pytest.raises(TraceFormatError, match="capacity"):
+            serialization.loads(bytes(data))
+
+    @pytest.mark.parametrize("sketch", [
+        filled_universal(), CountSketch(rows=2, width=8, seed=1),
+        CountMinSketch(rows=2, width=8, seed=1),
+        KArySketch(rows=2, width=8, seed=1)], ids=lambda s: type(s).__name__)
+    def test_trailing_bytes_rejected(self, sketch):
+        data = serialization.dumps(sketch)
+        serialization.loads(data)
+        with pytest.raises(TraceFormatError, match="trailing"):
+            serialization.loads(data + b"xyz")
+
+    @pytest.mark.parametrize("estimate", [float("nan"), float("inf"),
+                                          float("-inf")])
+    def test_non_finite_heap_estimate_rejected(self, estimate):
+        u = filled_universal()
+        data = bytearray(serialization.dumps(u))
+        # Level 0's first heap item: key(8) then estimate(8), right after
+        # the heap's capacity and count fields.
+        table_off = 37 + 16
+        (nbytes,) = struct.unpack_from("<I", data, table_off)
+        count_off = table_off + 4 + nbytes + 4
+        assert struct.unpack_from("<I", data, count_off)[0] > 0
+        struct.pack_into("<d", data, count_off + 4 + 8, estimate)
+        with pytest.raises(TraceFormatError, match="non-finite"):
+            serialization.loads(bytes(data))
+
 
 class TestCompactness:
     def test_size_dominated_by_counters(self):

@@ -120,6 +120,12 @@ class TestLinearity:
         merged = a.merge(b)
         assert merged.total_weight == 17
         assert merged.levels[0].sketch.query(5) == pytest.approx(17)
+        assert merged.packets == 2
+        assert [lvl.packets for lvl in merged.levels] == [
+            la.packets + lb.packets for la, lb in zip(a.levels, b.levels)]
+        # The inputs are left as they were.
+        assert (a.total_weight, a.packets) == (10, 1)
+        assert a.levels[0].sketch.query(5) == pytest.approx(10)
 
     def test_merge_heaps_requeried(self):
         a, b = make(seed=11), make(seed=11)
@@ -139,6 +145,9 @@ class TestLinearity:
         assert diff.levels[0].sketch.query(1) == pytest.approx(70)
         assert diff.levels[0].sketch.query(2) == pytest.approx(-40)
         assert diff.total_weight == 30  # signed: 100 - (30 + 40)
+        # Packet counts add: they count updates on either side.
+        assert diff.levels[0].packets == 3
+        assert (b.total_weight, b.packets) == (70, 2)
 
     def test_merge_requires_matching_config(self):
         with pytest.raises(IncompatibleSketchError):

@@ -1,23 +1,29 @@
-"""Tests for the delta/compressed sketch codec (reject, never corrupt)."""
+"""Tests for the compressed full-frame sketch codec (reject, never
+corrupt)."""
 
 import struct
-import zlib
 
 import numpy as np
 import pytest
 
-from repro.errors import CodecError, StaleBaseError
+from repro.errors import CodecError
 from repro.network.codec import (
-    FRAME_DELTA,
     FRAME_FULL,
     NO_BASE,
     DeltaDecoder,
     DeltaEncoder,
-    frame_info,
 )
+from repro.network.faults import SimulatedSwitch
 from repro.core.universal import UniversalSketch
 
-_HEADER = struct.Struct("<4sBBqqII")
+from tests.network.conftest import (
+    FRAME_HEADER,
+    HOSTILE_KINDS,
+    frame_body,
+    hostile_frame,
+    reframe,
+    zlib_bomb_frame,
+)
 
 
 def factory():
@@ -40,94 +46,69 @@ def assert_equal_state(a, b):
         assert sorted(la.topk.items()) == sorted(lb.topk.items())
 
 
-def reframe(frame, *, ftype=None, flags=None, epoch=None, base_epoch=None,
-            body=None):
-    """Rebuild a frame with selected header fields (CRC recomputed, so
-    the *decoder's semantic checks* are what reject it)."""
-    magic, t, f, e, b, length, crc = _HEADER.unpack(frame[:_HEADER.size])
-    payload = frame[_HEADER.size:] if body is None else body
-    t = t if ftype is None else ftype
-    f = f if flags is None else flags
-    e = e if epoch is None else epoch
-    b = b if base_epoch is None else base_epoch
-    header = _HEADER.pack(magic, t, f, e, b, len(payload),
-                          zlib.crc32(payload) & 0xFFFFFFFF)
-    return header + payload
-
-
-def delta_exchange(n_epochs=3):
-    """Encoder/decoder pair driven on a *cumulative* counter stream so
-    real DELTA frames engage (a sealed-and-reset stream falls back to
-    full frames; see DESIGN.md §11)."""
-    enc = DeltaEncoder()
-    dec = DeltaDecoder()
-    cumulative = factory()
-    frames = []
-    for epoch in range(n_epochs):
-        fill(cumulative, seed=epoch, packets=50)
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        frames.append(frame)
-        dec.decode(frame)
-    return enc, dec, cumulative, frames
+def header(frame):
+    """``(type, flags, epoch, base_epoch)`` of a frame."""
+    _, ftype, flags, epoch, base_epoch, _, _ = FRAME_HEADER.unpack(
+        frame[:FRAME_HEADER.size])
+    return ftype, flags, epoch, base_epoch
 
 
 class TestRoundTrips:
     def test_full_frame_round_trip(self):
         enc, dec = DeltaEncoder(), DeltaDecoder()
         sketch = fill(factory())
-        got = dec.decode(enc.encode(sketch, base_epoch=NO_BASE))
+        got = dec.decode(enc.encode(sketch))
         assert_equal_state(sketch, got)
 
     def test_empty_sketch_round_trip(self):
         enc, dec = DeltaEncoder(), DeltaDecoder()
-        got = dec.decode(enc.encode(factory(), base_epoch=NO_BASE))
+        got = dec.decode(enc.encode(factory()))
         assert_equal_state(factory(), got)
-
-    def test_delta_frames_engage_on_cumulative_stream(self):
-        enc, dec, cumulative, frames = delta_exchange(4)
-        kinds = [frame_info(f).kind for f in frames]
-        assert kinds[0] == "full"
-        assert "delta" in kinds[1:]
-        assert_equal_state(cumulative, dec.decode(
-            enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)))
 
     def test_sealed_stream_falls_back_to_full(self):
         # Per-epoch sealed sketches share no baseline with the previous
-        # epoch, so the delta (which must also revert the old counters)
-        # loses to the compressed full frame; the encoder's per-frame
-        # minimum picks FULL.  This is a property, not a bug.
+        # epoch, so every frame of the stream is a full frame.
         enc, dec = DeltaEncoder(), DeltaDecoder()
         for epoch in range(4):
-            frame = enc.encode(fill(factory(), seed=epoch),
-                               base_epoch=dec.base_epoch)
-            dec.decode(frame)
-            assert frame_info(frame).kind == "full"
+            sketch = fill(factory(), seed=epoch)
+            frame = enc.encode(sketch)
+            assert header(frame)[0] == FRAME_FULL
+            assert_equal_state(sketch, dec.decode(frame))
 
     def test_stale_ack_downgrades_to_full(self):
-        enc = DeltaEncoder()
-        enc.encode(fill(factory(), seed=0), base_epoch=NO_BASE)
-        frame = enc.encode(fill(factory(), seed=1), base_epoch=999)
-        assert frame_info(frame).kind == "full"
+        # The poll protocol's ack is not read: a switch polled with an
+        # ack it never sent still ships a full frame that decodes alone.
+        switch = SimulatedSwitch("s0", factory)
+        fill(switch.sketch, seed=1)
+        expected = switch.sketch.copy()
+        frame = switch.poll(999)
+        assert header(frame)[0] == FRAME_FULL
+        assert_equal_state(expected, DeltaDecoder().decode(frame))
 
     def test_decoded_sketch_is_independent_of_decoder_state(self):
         enc, dec = DeltaEncoder(), DeltaDecoder()
-        got = dec.decode(enc.encode(fill(factory()), base_epoch=NO_BASE))
-        got.update(7)  # mutating the result must not corrupt the base
-        again = dec.decode(enc.encode(fill(factory()),
-                                      base_epoch=dec.base_epoch))
+        frame = enc.encode(fill(factory()))
+        got = dec.decode(frame)
+        got.update(7)  # mutating the result must not affect a decode
+        again = dec.decode(frame)
+        assert again is not got
         assert_equal_state(fill(factory()), again)
 
     def test_raw_mode_never_stores_a_base(self):
-        enc = DeltaEncoder(delta=False, compress=False)
+        # Raw frames are uncompressed full frames with no base, and the
+        # encoder keeps nothing between frames: the same sketch always
+        # frames to the same bytes.
+        enc = DeltaEncoder(compress=False)
         for epoch in range(3):
-            frame = enc.encode(fill(factory(), seed=epoch),
-                               base_epoch=epoch - 1)
-            assert frame_info(frame).kind == "full"
-            assert not frame_info(frame).compressed
+            sketch = fill(factory(), seed=epoch)
+            frame = enc.encode(sketch)
+            ftype, flags, _, base_epoch = header(frame)
+            assert (ftype, flags, base_epoch) == (FRAME_FULL, 0, NO_BASE)
+            assert enc.encode(sketch) == frame
 
     def test_compression_shrinks_sparse_sketches(self):
-        raw = DeltaEncoder(delta=False, compress=False)
-        packed = DeltaEncoder(delta=False, compress=True)
+        raw = DeltaEncoder(compress=False)
+        packed = DeltaEncoder(compress=True)
         sketch = fill(factory(), packets=30)
         assert len(packed.encode(sketch.copy())) \
             < len(raw.encode(sketch)) / 3
@@ -136,12 +117,12 @@ class TestRoundTrips:
 class TestFraming:
     def test_truncated_header_rejected(self):
         with pytest.raises(CodecError):
-            frame_info(b"UMF1\x01")
+            DeltaDecoder().decode(b"UMF1\x01")
 
     def test_bad_magic_rejected(self):
         frame = DeltaEncoder().encode(factory())
         with pytest.raises(CodecError):
-            frame_info(b"XXXX" + frame[4:])
+            DeltaDecoder().decode(b"XXXX" + frame[4:])
 
     def test_corrupt_payload_rejected_by_crc(self):
         frame = bytearray(DeltaEncoder().encode(fill(factory())))
@@ -153,146 +134,90 @@ class TestFraming:
         frame = DeltaEncoder().encode(fill(factory()))
         with pytest.raises(CodecError):
             DeltaDecoder().decode(reframe(frame, ftype=99))
+        with pytest.raises(CodecError, match="type 2"):
+            # The retired DELTA type is just another unknown type.
+            DeltaDecoder().decode(reframe(frame, ftype=2))
         with pytest.raises(CodecError):
             DeltaDecoder().decode(reframe(frame, flags=0x80))
 
     def test_length_mismatch_rejected(self):
         frame = DeltaEncoder().encode(fill(factory()))
         with pytest.raises(CodecError):
-            frame_info(frame + b"extra")
+            DeltaDecoder().decode(frame + b"extra")
 
     def test_truncation_at_every_offset_rejected(self):
-        enc, dec, _, frames = delta_exchange()
-        delta_frame = next(f for f in frames
-                           if frame_info(f).kind == "delta")
-        fresh_enc, _, _, _ = delta_exchange()
-        for cut in range(len(delta_frame) - 1):
-            _, dec2, _, _ = delta_exchange()
+        frame = DeltaEncoder(compress=False).encode(fill(factory()))
+        dec = DeltaDecoder()
+        for cut in range(len(frame) - 1):
             with pytest.raises(CodecError):
-                dec2.decode(delta_frame[:cut])
+                dec.decode(frame[:cut])
+        # A body cut short under a consistent header is rejected too.
+        body = frame_body(frame)
+        for cut in range(0, len(body), 97):
+            with pytest.raises(CodecError):
+                dec.decode(reframe(frame, body=body[:cut]))
 
 
 class TestHostileDeltas:
-    """Hand-corrupted DELTA bodies: every reject leaves state intact."""
+    """Hand-corrupted full frames: each is rejected, and the decoder
+    decodes the next good frame exactly."""
 
-    def hostile(self, mutate):
-        """Run a delta exchange, mutate the *next* delta body, and
-        return (decoder, corrupt frame, decoder state before)."""
-        enc, dec, cumulative, _ = delta_exchange()
-        fill(cumulative, seed=99, packets=40)
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        info = frame_info(frame)
-        assert info.kind == "delta", "fixture must produce a real delta"
-        body = bytearray(zlib.decompress(frame[_HEADER.size:])
-                         if info.compressed else frame[_HEADER.size:])
-        body = mutate(body, dec)
-        corrupt = reframe(frame, flags=0, body=bytes(body))
-        return dec, corrupt, dec.base_epoch
-
-    def assert_rejected_cleanly(self, mutate, exc=CodecError):
-        dec, corrupt, epoch_before = self.hostile(mutate)
-        with pytest.raises(exc):
+    def assert_rejected_cleanly(self, corrupt):
+        dec = DeltaDecoder()
+        with pytest.raises(CodecError):
             dec.decode(corrupt)
-        assert dec.base_epoch == epoch_before  # state untouched
+        sketch = fill(factory(), seed=123)
+        assert_equal_state(sketch, dec.decode(DeltaEncoder().encode(sketch)))
 
-    def test_out_of_range_index_rejected(self):
-        def mutate(body, dec):
-            # geometry(24) + packets(8) + level header(16) -> nchanged u32
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            assert nchanged > 0
-            struct.pack_into("<I", body, offset + 4, 1 << 30)
-            return body
-        self.assert_rejected_cleanly(mutate)
+    def hostile(self, kind):
+        return hostile_frame(DeltaEncoder().encode(fill(factory())), kind)
 
-    def test_duplicate_indices_rejected(self):
-        def mutate(body, dec):
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            assert nchanged >= 2
-            (first,) = struct.unpack_from("<I", body, offset + 4)
-            struct.pack_into("<I", body, offset + 8, first)
-            return body
-        self.assert_rejected_cleanly(mutate)
-
-    def test_overflowing_delta_rejected(self):
-        def mutate(body, dec):
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            deltas_at = offset + 4 + 4 * nchanged
-            struct.pack_into("<q", body, deltas_at,
-                             np.iinfo(np.int64).max)
-            return body
-        self.assert_rejected_cleanly(mutate)
-
-    def test_changed_count_above_level_size_rejected(self):
-        def mutate(body, dec):
-            struct.pack_into("<I", body, 24 + 8 + 16, 1 << 31)
-            return body
-        self.assert_rejected_cleanly(mutate)
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    def test_hostile_full_frame_rejected(self, kind):
+        self.assert_rejected_cleanly(self.hostile(kind))
 
     def test_stale_base_epoch_rejected(self):
-        enc, dec, cumulative, _ = delta_exchange()
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        assert frame_info(frame).kind == "delta"
-        fresh = DeltaDecoder()
-        with pytest.raises(StaleBaseError):
-            fresh.decode(frame)
-        assert fresh.base_epoch == NO_BASE
-
-    def test_non_monotonic_epoch_rejected(self):
-        enc, dec, cumulative, _ = delta_exchange()
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        assert frame_info(frame).kind == "delta"
-        epoch_before = dec.base_epoch
-        with pytest.raises(StaleBaseError):
-            dec.decode(reframe(frame, epoch=epoch_before - 1))
-        assert dec.base_epoch == epoch_before
+        # Full frames carry no base; a frame claiming one is malformed.
+        frame = DeltaEncoder().encode(fill(factory()))
+        self.assert_rejected_cleanly(reframe(frame, base_epoch=3))
 
     def test_geometry_mismatch_rejected(self):
-        def mutate(body, dec):
-            struct.pack_into("<I", body, 8, 63)  # width 64 -> 63
-            return body
-        self.assert_rejected_cleanly(mutate)
+        # The geometry header disagrees with the table blocks after it.
+        frame = DeltaEncoder().encode(fill(factory()))
+        body = bytearray(frame_body(frame))
+        struct.pack_into("<I", body, 4 + 1 + 4 + 4, 63)  # width 64 -> 63
+        self.assert_rejected_cleanly(
+            reframe(frame, flags=0, body=bytes(body)))
 
     def test_heap_count_above_capacity_rejected(self):
-        def mutate(body, dec):
-            # walk to level 0's heap count field
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            heap_at = offset + 4 + 12 * nchanged
-            struct.pack_into("<I", body, heap_at, 1 << 20)
-            return body
-        self.assert_rejected_cleanly(mutate)
+        self.assert_rejected_cleanly(self.hostile("heap_count"))
 
     def test_full_frame_carrying_garbage_rejected(self):
-        enc, dec = DeltaEncoder(), DeltaDecoder()
-        frame = enc.encode(fill(factory()))
-        with pytest.raises(CodecError):
-            dec.decode(reframe(frame, flags=0, body=b"UMS1garbage"))
-        assert dec.base_epoch == NO_BASE
+        frame = DeltaEncoder().encode(fill(factory()))
+        self.assert_rejected_cleanly(
+            reframe(frame, flags=0, body=b"UMS1garbage"))
 
     def test_zlib_bomb_bounded(self):
         # 128 MiB of zeros compresses tiny; decompression must stop at
         # the payload ceiling instead of ballooning.
-        bomb = zlib.compress(b"\x00" * (128 * 1024 * 1024), 9)
-        header = _HEADER.pack(b"UMF1", FRAME_FULL, 1, 0, NO_BASE,
-                              len(bomb), zlib.crc32(bomb) & 0xFFFFFFFF)
-        with pytest.raises(CodecError):
-            DeltaDecoder().decode(header + bomb)
+        with pytest.raises(CodecError, match="exceeds"):
+            DeltaDecoder().decode(zlib_bomb_frame())
 
     def test_trailing_bytes_rejected(self):
-        def mutate(body, dec):
-            return body + b"\x00"
-        self.assert_rejected_cleanly(mutate)
+        self.assert_rejected_cleanly(self.hostile("trailing"))
+
+    def test_difference_sketch_frame_rejected(self):
+        # loads round-trips a difference sketch (negative level weight);
+        # the codec only ships ingest sketches.
+        a, b = fill(factory(), seed=1), fill(factory(), seed=2, packets=400)
+        with pytest.raises(CodecError, match="negative"):
+            DeltaDecoder().decode(DeltaEncoder().encode(a.subtract(b)))
 
     def test_recovery_after_reject_via_full_repoll(self):
-        dec, corrupt, _ = self.hostile(
-            lambda body, dec: body + b"\x00")
+        dec = DeltaDecoder()
         with pytest.raises(CodecError):
-            dec.decode(corrupt)
-        dec.reset()
+            dec.decode(self.hostile("trailing"))
         enc = DeltaEncoder()
         sketch = fill(factory(), seed=123)
-        got = dec.decode(enc.encode(sketch, base_epoch=NO_BASE))
+        got = dec.decode(enc.encode(sketch))
         assert_equal_state(sketch, got)

@@ -10,9 +10,12 @@ from repro.controlplane.apps.cardinality import CardinalityApp
 from repro.controlplane.apps.entropy import EntropyApp
 from repro.dataplane.keys import src_ip_key
 from repro.network.faults import SimLink, SimulatedSwitch
+from repro.network.health import HealthState
 from repro.network.hierarchy import HierarchicalCoordinator
 from repro.network.topology import NetworkTopology
 from repro.core.universal import UniversalSketch
+
+from tests.network.conftest import HOSTILE_KINDS, hostile_frame
 
 SWITCHES = ("edge0", "edge1", "edge2")
 
@@ -121,9 +124,9 @@ class _Mutator(MonitoringApp):
 
 class TestMergeAliasing:
     def test_single_survivor_merge_is_a_copy(self, tiny_trace):
-        """With one surviving switch the epoch sketch must not *be* the
-        collector's decoded frame: an app mutating it would otherwise
-        corrupt the delta base the next epoch's frame is applied to."""
+        """With one surviving switch, an app mutating the epoch sketch
+        must not leak into the next epoch: every epoch is rebuilt from
+        its own full frame."""
         fleet = Fleet()
         fleet.coordinator.register(_Mutator())
         for name in ("edge1", "edge2"):
@@ -135,7 +138,8 @@ class TestMergeAliasing:
             # The mutation happened after accounting, and never leaks
             # into the next epoch's reconstruction.
             assert coverage["packets_covered"] == fed
-        assert coverage["frames_delta"] == 1
+            assert (coverage["frames_full"], coverage["frames_delta"]) \
+                == (1, 0)
 
     def test_single_switch_network_sketch_is_a_copy(self, tiny_trace):
         """A one-switch network's merged sketch must not share state with
@@ -169,6 +173,59 @@ class TestMergeAliasing:
         for got, want in zip(capture.sketch.levels, central.levels):
             assert np.array_equal(got.sketch.table, want.sketch.table)
             assert got.weight == want.weight
+
+
+class _CorruptFirstFrame(SimLink):
+    """A link whose first frame arrives hostile (``kind``); later frames
+    arrive intact."""
+
+    def __init__(self, switch, kind):
+        super().__init__(switch)
+        self.kind = kind
+        self.polls = 0
+
+    def poll(self, base_epoch):
+        frame = super().poll(base_epoch)
+        self.polls += 1
+        return hostile_frame(frame, self.kind) if self.polls == 1 else frame
+
+
+class TestCorruptFrames:
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    def test_corrupt_first_frame_drops_only_that_leaf(self, tiny_trace,
+                                                      kind):
+        """A rejected frame is that leaf's failed poll: its sealed epoch
+        is missing from the merge and from the covered packets, the
+        other leaves merge exactly, and the next epoch covers it."""
+        fleet = Fleet()
+        bad = "edge1"
+        fleet.coordinator.links[bad] = _CorruptFirstFrame(
+            fleet.switches[bad], kind)
+        capture = _Capture()
+        fleet.coordinator.register(capture)
+        keys = tiny_trace.key_array(src_ip_key)
+        shares = {name: keys[keys % len(SWITCHES) == i]
+                  for i, name in enumerate(SWITCHES)}
+
+        for epoch, covered in ((0, ("edge0", "edge2")), (1, SWITCHES)):
+            for name, sw in fleet.switches.items():
+                sw.feed(shares[name])
+            coverage = fleet.coordinator.run_epoch()["coverage"]
+            want = factory()
+            want.update_array(np.concatenate([shares[n] for n in covered]))
+            assert coverage["missing_switches"] == sorted(
+                set(SWITCHES) - set(covered)), epoch
+            assert coverage["packets_covered"] == want.packets
+            assert capture.sketch.packets == want.packets
+            for got, ref in zip(capture.sketch.levels, want.levels):
+                assert np.array_equal(got.sketch.table, ref.sketch.table)
+                assert got.weight == ref.weight
+            if epoch == 0:
+                # One rejected frame is one failed poll, not a failure.
+                assert coverage["health"][bad]["state"] == \
+                    HealthState.SUSPECT.value
+                assert coverage["lost"] == []
+        assert fleet.switches[bad].pending == 0
 
 
 class TestFailureInjection:

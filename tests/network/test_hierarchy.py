@@ -138,6 +138,9 @@ class TestHealthyTree:
         assert cov["missing_switches"] == []
         assert report.packets == net.fed
         assert net.conservation_holds(report.packets)
+        # One full frame per leaf and per non-root aggregator uplink
+        # (20 leaves -> 5 racks -> 2 pods -> root).
+        assert (cov["frames_full"], cov["frames_delta"]) == (27, 0)
 
     def test_tree_merge_equals_flat_merge(self):
         # Linearity: aggregating rack-then-pod-then-root must equal the
@@ -180,11 +183,17 @@ class TestHealthyTree:
         assert report.results["cardinality"]["distinct"] > 0
 
     def test_transfer_raw_forces_full_frames(self):
-        net = Net(n=6, fanout=3, transfer="raw")
-        for _ in range(3):
-            net.feed()
-            cov = net.epoch().results["coverage"]
-            assert cov["frames_delta"] == 0
+        wire = {}
+        for transfer in ("raw", "delta"):
+            net = Net(n=6, fanout=3, transfer=transfer)
+            for _ in range(3):
+                net.feed()
+                cov = net.epoch().results["coverage"]
+                # 6 leaves + 2 rack uplinks, every one a full frame.
+                assert (cov["frames_full"], cov["frames_delta"]) == (8, 0)
+            wire[transfer] = cov["bytes_wire"]
+        # Raw uplinks are uncompressed; leaf frames are the same.
+        assert wire["raw"] > wire["delta"]
 
 
 class TestDegradation:
@@ -290,8 +299,8 @@ class TestRecovery:
         assert cov["coverage"] == 1.0
 
     def test_reparenting_degrades_codec_to_full_then_recovers(self):
-        # While adopted, a leaf talks to a collector with no decoder
-        # history -> full frames; nothing is lost either way.
+        # While adopted, a leaf ships the same full frame to its
+        # stand-in collector; nothing is lost either way.
         net = Net()
         net.feed()
         net.epoch()

@@ -287,9 +287,9 @@ class _Capture(MonitoringApp):
 
 class TestDeltaTransfer:
     def test_delta_transfer_matches_raw(self, tiny_trace):
-        """Same traffic, same agents' geometry: the delta exchange
-        reconstructs exactly the sketches full frames ship, epoch after
-        epoch (the second epoch rides a sparse delta)."""
+        """Same traffic, same agents' geometry: both transfer modes
+        reconstruct exactly the same sketches, epoch after epoch, and
+        every frame either way is a full frame."""
         merged = {}
         for transfer in ("raw", "delta"):
             agents = {"s0": make_agent("s0"), "s1": make_agent("s1")}
@@ -308,10 +308,8 @@ class TestDeltaTransfer:
             finally:
                 for agent in agents.values():
                     agent.stop()
-            if transfer == "raw":
-                assert coverage["frames_delta"] == 0
-            else:
-                assert coverage["frames_delta"] == 2
+            assert (coverage["frames_full"], coverage["frames_delta"]) \
+                == (2, 0)
             merged[transfer] = capture.sketches
         for raw, delta in zip(merged["raw"], merged["delta"]):
             for a, b in zip(raw.levels, delta.levels):
